@@ -9,6 +9,12 @@ cargo build --release
 echo "==> cargo test -q (workspace: includes the loopback chaos matrices)"
 cargo test --workspace -q
 
+echo "==> perfbench build + self-test (its own cargo workspace: the --workspace steps never compile it)"
+# The benchmark compiles against the crates' public API by path; building
+# it here turns an API break into a red CI instead of a broken benchmark.
+cargo build --release --manifest-path perfbench/Cargo.toml
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -42,7 +48,7 @@ echo "==> comm smoke (4 ranks x 4 workers over sockets, v1..v5 + fused v5 vs sin
 # mesh must also show zero recovery activity — any retry/timeout/dup on
 # the clean sockets fails CI. Single rep per variant keeps wall time
 # bounded. Also enforces the wire-accounting reconciliation (GA remote
-# get bytes == endpoint requested get bytes).
+# get bytes == endpoint requested get bytes == endpoint wire bytes).
 cargo run -q --release -p bench-harness --bin comm_bench -- --smoke --threads 4 --reps 1
 
 echo "==> comm chaos matrix (4 ranks x 4 workers over sockets, fault schedules + kill/restart matrix, fixed seeds)"

@@ -5,11 +5,10 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dcsim::{EventQueue, PsResource};
 use parsec_rt::sched::ReadyQueue;
-use parsec_rt::{CoarseRuntime, NativeRuntime, SchedPolicy};
+use parsec_rt::{NativeRuntime, SchedPolicy};
 use ptg::{Activity, Dep, GraphCtx, Payload, PlainCtx, TaskClass, TaskGraph, TaskKey};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn bench_ready_queue(c: &mut Criterion) {
     let n = 10_000u64;
@@ -118,86 +117,11 @@ fn bench_native_dispatch(c: &mut Criterion) {
     g.finish();
 }
 
-/// Dispatch-throughput comparison: the coarse-locked baseline engine vs
-/// the sharded work-stealing engine on a wide graph of 100k empty-body
-/// tasks at 1/2/4/8 threads. With empty bodies, wall time *is* dispatch
-/// cost, so tasks/second isolates the locking discipline — the same
-/// methodology as the paper's mutex-operation counts for v3 vs v5.
-/// Results are printed and written to `BENCH_dispatch.json` at the repo
-/// root.
-fn bench_dispatch_throughput(_c: &mut Criterion) {
-    const TASKS: i64 = 100_000;
-    const THREADS: [usize; 4] = [1, 2, 4, 8];
-    const RUNS: usize = 3;
-
-    let measure = |engine: &str, threads: usize| -> f64 {
-        let graph = TaskGraph::new(
-            vec![Arc::new(Trivial { n: TASKS })],
-            Arc::new(PlainCtx { nodes: 1 }),
-        );
-        let mut best = Duration::MAX;
-        // One warmup run, then best-of-RUNS.
-        for r in 0..=RUNS {
-            let (tasks, wall) = match engine {
-                "coarse" => {
-                    let rep = CoarseRuntime::new(threads).run(&graph);
-                    (rep.tasks, rep.wall)
-                }
-                _ => {
-                    let rep = NativeRuntime::new(threads).run(&graph);
-                    (rep.tasks, rep.wall)
-                }
-            };
-            assert_eq!(tasks, TASKS as u64);
-            if r > 0 && wall < best {
-                best = wall;
-            }
-        }
-        TASKS as f64 / best.as_secs_f64()
-    };
-
-    let mut coarse = Vec::new();
-    let mut sharded = Vec::new();
-    for &t in &THREADS {
-        let cps = measure("coarse", t);
-        let sps = measure("sharded", t);
-        println!(
-            "bench dispatch_100k/{t}_threads  coarse {:>12.0} tasks/s   sharded {:>12.0} tasks/s   speedup {:.2}x",
-            cps,
-            sps,
-            sps / cps
-        );
-        coarse.push(cps);
-        sharded.push(sps);
-    }
-
-    let row = |v: &[f64]| {
-        v.iter()
-            .map(|x| format!("{x:.0}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let speedups = THREADS
-        .iter()
-        .enumerate()
-        .map(|(i, _)| format!("{:.3}", sharded[i] / coarse[i]));
-    let json = format!(
-        "{{\n  \"tasks\": {TASKS},\n  \"threads\": [1, 2, 4, 8],\n  \"coarse_tasks_per_sec\": [{}],\n  \"sharded_tasks_per_sec\": [{}],\n  \"speedup\": [{}]\n}}\n",
-        row(&coarse),
-        row(&sharded),
-        speedups.collect::<Vec<_>>().join(", ")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dispatch.json");
-    std::fs::write(path, json).expect("write BENCH_dispatch.json");
-    println!("wrote {path}");
-}
-
 criterion_group!(
     benches,
     bench_ready_queue,
     bench_event_queue,
     bench_ps_resource,
     bench_native_dispatch,
-    bench_dispatch_throughput,
 );
 criterion_main!(benches);

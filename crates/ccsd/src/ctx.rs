@@ -188,10 +188,6 @@ pub struct CcsdCtx {
     /// Tile buffer pool serving every task body's working memory
     /// (operand tiles, C accumulators, sort scratch, packing panels).
     pub pool: Arc<TilePool>,
-    /// In distributed executions, the rank this graph instance runs on:
-    /// root classes emit only the chains placed there (`chain_node`).
-    /// `None` runs every chain (single-process executions).
-    pub rank: Option<usize>,
     /// Reader tasks post asynchronous gets through the comm layer instead
     /// of blocking a worker (distributed mode only; requires a dist GA).
     pub prefetch: bool,
@@ -218,14 +214,6 @@ impl CcsdCtx {
     /// PaRSEC to perform dynamic work stealing within each node".
     pub fn chain_node(&self, l1: i64) -> usize {
         (l1 as usize) % self.nodes
-    }
-
-    /// True when this graph instance should materialize chain `l1`'s
-    /// tasks: always in single-process runs, owner-rank-only when
-    /// distributed (every dependency of a chain stays within the chain,
-    /// so rank filtering at the roots partitions the whole graph).
-    pub fn chain_is_ours(&self, l1: i64) -> bool {
-        self.rank.is_none_or(|r| self.chain_node(l1) == r)
     }
 
     /// Chain metadata.
@@ -313,7 +301,6 @@ mod tests {
             nodes: 4,
             ws: None,
             pool: Default::default(),
-            rank: None,
             prefetch: false,
             external_roots: false,
         };
@@ -342,7 +329,6 @@ mod tests {
             nodes: 1,
             ws: None,
             pool: Default::default(),
-            rank: None,
             prefetch: false,
             external_roots: false,
         };

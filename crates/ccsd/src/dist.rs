@@ -15,10 +15,10 @@
 
 use crate::ctx::VariantCfg;
 use crate::steal::{ChainSource, PrefetchFn, StealConfig, StealSummary};
-use crate::variants::{build_graph_dist, build_graph_external};
+use crate::variants::build_graph_external;
 use comm::{CommConfig, Endpoint, Transport};
 use global_arrays::{DistStore, Ga, GangView, TileCacheConfig};
-use parsec_rt::{CoarseRuntime, NativeReport, NativeRuntime, SchedPolicy, TilePool};
+use parsec_rt::{NativeReport, NativeRuntime, SchedPolicy, TilePool};
 use ptg::TaskGraph;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,8 +34,7 @@ pub struct DistRun {
     /// This rank's engine report (worker spans on the shared comm
     /// timeline, tagged with this rank's node id).
     pub report: NativeReport,
-    /// Cross-rank steal activity of this run on this rank (all zero on
-    /// the coarse path, which predates the steal ledger).
+    /// Cross-rank steal activity of this run on this rank.
     pub steal: StealSummary,
 }
 
@@ -63,23 +62,18 @@ impl DistRank {
     /// shard stores, the progress engine, deterministic tensor fills
     /// (each rank writes what it owns), and the inspection metadata.
     pub fn new(transport: Box<dyn Transport>, space: &TileSpace, kernels: &[Kernel]) -> Self {
-        Self::with_config(transport, space, kernels, CommConfig::default())
+        Self::with_configs(
+            transport,
+            space,
+            kernels,
+            CommConfig::default(),
+            TileCacheConfig::default(),
+        )
     }
 
-    /// As [`DistRank::new`] with an explicit comm configuration (eager
-    /// threshold, in-flight get caps) and the default tile cache.
-    pub fn with_config(
-        transport: Box<dyn Transport>,
-        space: &TileSpace,
-        kernels: &[Kernel],
-        cfg: CommConfig,
-    ) -> Self {
-        Self::with_configs(transport, space, kernels, cfg, TileCacheConfig::default())
-    }
-
-    /// Fully explicit construction: comm configuration plus tile-cache
-    /// configuration (disable it, resize it, or arm `verify_reads` for
-    /// the chaos zero-stale-read gates).
+    /// Fully explicit construction: comm configuration (eager threshold,
+    /// in-flight get caps) plus tile-cache configuration (resize it, or
+    /// arm `verify_reads` for the chaos zero-stale-read gates).
     pub fn with_configs(
         transport: Box<dyn Transport>,
         space: &TileSpace,
@@ -190,20 +184,12 @@ impl DistRank {
     /// engine through a steal ledger, and idle workers escalate from
     /// local deque stealing to cross-rank chain migration (default
     /// [`StealConfig`]: steal remotely only after local work runs dry).
+    /// For explicit steal tuning, build the graph with
+    /// [`DistRank::build_run_graph`] and run it through
+    /// [`DistRank::run_variant_graph`].
     pub fn run_variant(&self, cfg: VariantCfg, threads: usize, prefetch: bool) -> DistRun {
-        self.run_variant_steal(cfg, threads, prefetch, StealConfig::default())
-    }
-
-    /// As [`DistRank::run_variant`] with explicit steal tuning.
-    pub fn run_variant_steal(
-        &self,
-        cfg: VariantCfg,
-        threads: usize,
-        prefetch: bool,
-        scfg: StealConfig,
-    ) -> DistRun {
         let graph = self.build_run_graph(cfg, prefetch);
-        self.run_variant_graph(&graph, cfg, threads, scfg)
+        self.run_variant_graph(&graph, cfg, threads, StealConfig::default())
     }
 
     /// Build the runnable task graph of one variant over this rank's
@@ -216,7 +202,6 @@ impl DistRank {
             cfg,
             Some(self.ws.clone()),
             self.pool.clone(),
-            Some(self.my_node()),
             prefetch,
         )
     }
@@ -293,28 +278,6 @@ impl DistRank {
         self.ep.set_steal_handler(None);
         let steal = source.summary();
         self.settle(report, steal)
-    }
-
-    /// Collectively execute one variant on the coarse-locked baseline
-    /// engine (always synchronous reader bodies: the engine predates
-    /// deferred completions).
-    pub fn run_variant_coarse(&self, cfg: VariantCfg, threads: usize) -> DistRun {
-        self.reset_output();
-        let graph = build_graph_dist(
-            self.ins.clone(),
-            cfg,
-            Some(self.ws.clone()),
-            self.pool.clone(),
-            Some(self.my_node()),
-            false,
-        );
-        let policy = if cfg.priorities {
-            SchedPolicy::PriorityFifo
-        } else {
-            SchedPolicy::Fifo
-        };
-        let report = CoarseRuntime::new(threads).policy(policy).run(&graph);
-        self.settle(report, StealSummary::default())
     }
 
     /// Post-run collective: flush outstanding accumulates everywhere,
@@ -403,16 +366,12 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_off_and_coarse_engine_agree() {
+    fn prefetch_off_matches_reference() {
         let e_ref = reference();
         let energies = run_ranks(2, |rank| {
-            let sync = rank.run_variant(VariantCfg::v5(), 2, false).energy;
-            let coarse = rank.run_variant_coarse(VariantCfg::v5(), 2).energy;
-            (sync, coarse)
+            rank.run_variant(VariantCfg::v5(), 2, false).energy
         });
-        let (sync, coarse) = &energies[0];
-        assert!(rel_diff(e_ref, sync.unwrap()) < 1e-12);
-        assert!(rel_diff(e_ref, coarse.unwrap()) < 1e-12);
+        assert!(rel_diff(e_ref, energies[0].unwrap()) < 1e-12);
     }
 
     #[test]
@@ -440,7 +399,8 @@ mod tests {
             tce::inspect(&space, 3).num_chains() as u64
         };
         let out = run_ranks(3, move |rank| {
-            let run = rank.run_variant_steal(VariantCfg::v5(), 2, true, scfg);
+            let graph = rank.build_run_graph(VariantCfg::v5(), true);
+            let run = rank.run_variant_graph(&graph, VariantCfg::v5(), 2, scfg);
             let s = rank.endpoint().stats();
             (run.energy, run.steal, s.steal_reqs, s.steal_donated)
         });
@@ -487,7 +447,8 @@ mod tests {
         // of a slow peer's chains at threads=1, and the per-rank traffic
         // assertions below assume every rank executes its own share.
         let stats = run_ranks(2, |rank| {
-            rank.run_variant_steal(VariantCfg::v5(), 1, true, StealConfig::pinned());
+            let graph = rank.build_run_graph(VariantCfg::v5(), true);
+            rank.run_variant_graph(&graph, VariantCfg::v5(), 1, StealConfig::pinned());
             let s = rank.endpoint().stats();
             let ga = rank.workspace().ga.stats();
             (s.gets, s.accs, ga.remote_bytes(), ga.local_bytes())

@@ -34,4 +34,4 @@ pub use baseline::{simulate_baseline, BaselineCfg, BaselineReport};
 pub use ctx::{CcsdCtx, VariantCfg, ACC_RMW_FACTOR, SORT_STRIDE_FACTOR};
 pub use dist::{DistRank, DistRun};
 pub use steal::{ChainLedger, ChainSource, StealConfig, StealSummary};
-pub use variants::{build_graph, build_graph_dist, build_graph_external, build_graph_pooled};
+pub use variants::{build_graph, build_graph_external, build_graph_pooled};

@@ -113,9 +113,6 @@ impl TaskClass for Reader {
             Operand::B => READ_B,
         };
         for (l1, chain) in c.ins.chains.iter().enumerate() {
-            if !c.chain_is_ours(l1 as i64) {
-                continue;
-            }
             for l2 in 0..chain.gemms.len() {
                 out.push(TaskKey::new(class, &[l1 as i64, l2 as i64]));
             }
@@ -233,9 +230,7 @@ impl TaskClass for Dfill {
             return;
         }
         for l1 in 0..c.ins.num_chains() {
-            if c.chain_is_ours(l1 as i64) {
-                out.push(TaskKey::new(DFILL, &[l1 as i64]));
-            }
+            out.push(TaskKey::new(DFILL, &[l1 as i64]));
         }
     }
     fn num_inputs(&self, _key: TaskKey, _ctx: &dyn GraphCtx) -> usize {
@@ -853,47 +848,32 @@ pub fn build_graph_pooled(
     ws: Option<Arc<tce::Workspace>>,
     pool: Arc<TilePool>,
 ) -> TaskGraph {
-    build_graph_dist(ins, cfg, ws, pool, None, false)
+    build_graph_inner(ins, cfg, ws, pool, false, false)
 }
 
-/// As [`build_graph_pooled`] for one rank of a distributed execution:
-/// only the chains placed on `rank` (round-robin) are materialized, and
+/// As [`build_graph_pooled`] for one rank of a distributed execution,
+/// with **no static roots**: every task class stays executable for every
+/// chain, but nothing materializes until an external
+/// [`parsec_rt::WorkSource`] (the rank's steal ledger) seeds chain roots
+/// into the engine. Chain placement therefore lives only in the ledger,
+/// which is what lets a thief rank execute chains it does not own.
 /// `prefetch` routes reader bodies through the comm layer's asynchronous
 /// get pipeline instead of blocking workers.
-pub fn build_graph_dist(
-    ins: Arc<Inspection>,
-    cfg: VariantCfg,
-    ws: Option<Arc<tce::Workspace>>,
-    pool: Arc<TilePool>,
-    rank: Option<usize>,
-    prefetch: bool,
-) -> TaskGraph {
-    build_graph_inner(ins, cfg, ws, pool, rank, prefetch, false)
-}
-
-/// As [`build_graph_dist`] with **no static roots**: every task class
-/// stays executable for every chain, but nothing materializes until an
-/// external [`parsec_rt::WorkSource`] seeds chain roots into the engine.
-/// This is what lets a thief rank execute chains it does not own — the
-/// rank filter lives only in the roots, which are now the ledger's.
 pub fn build_graph_external(
     ins: Arc<Inspection>,
     cfg: VariantCfg,
     ws: Option<Arc<tce::Workspace>>,
     pool: Arc<TilePool>,
-    rank: Option<usize>,
     prefetch: bool,
 ) -> TaskGraph {
-    build_graph_inner(ins, cfg, ws, pool, rank, prefetch, true)
+    build_graph_inner(ins, cfg, ws, pool, prefetch, true)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn build_graph_inner(
     ins: Arc<Inspection>,
     cfg: VariantCfg,
     ws: Option<Arc<tce::Workspace>>,
     pool: Arc<TilePool>,
-    rank: Option<usize>,
     prefetch: bool,
     external_roots: bool,
 ) -> TaskGraph {
@@ -901,16 +881,12 @@ fn build_graph_inner(
     if let Some(ws) = &ws {
         assert_eq!(ws.ga.nnodes(), nodes, "workspace/inspection node mismatch");
     }
-    if let Some(r) = rank {
-        assert!(r < nodes, "rank {r} out of range for {nodes} nodes");
-    }
     let ctx = Arc::new(CcsdCtx {
         ins,
         cfg,
         nodes,
         ws,
         pool,
-        rank,
         prefetch,
         external_roots,
     });

@@ -224,55 +224,4 @@ mod tests {
         assert_eq!(e0.take_latencies().len(), 8);
         assert_eq!(e0.take_trace().spans().len(), 8);
     }
-
-    #[test]
-    fn identical_gets_coalesce_onto_one_transfer() {
-        let mut t = loopback(2);
-        let t1 = t.pop().unwrap();
-        let t0 = t.pop().unwrap();
-        let s1 = MemStore::new(&[256]);
-        s1.arrays[0].lock().unwrap()[5] = 55.0;
-        let e0 = Endpoint::spawn(
-            Box::new(t0),
-            MemStore::new(&[256]),
-            CommConfig {
-                max_inflight_gets: 1,
-                ..CommConfig::default()
-            },
-        );
-        let _e1 = Endpoint::spawn(Box::new(t1), s1, CommConfig::default());
-        // Occupy the only slot so the identical gets sit queued together.
-        let done = Arc::new(AtomicUsize::new(0));
-        for _ in 0..4 {
-            let done = done.clone();
-            e0.get_async(
-                1,
-                0,
-                5,
-                1,
-                0,
-                Box::new(move |data: WireSlice<'_>| {
-                    assert_eq!(data.to_vec(), vec![55.0]);
-                    done.fetch_add(1, Ordering::SeqCst);
-                }),
-            );
-        }
-        while done.load(Ordering::SeqCst) < 4 {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let s = e0.stats();
-        assert_eq!(s.gets, 4);
-        assert!(
-            s.coalesced_gets >= 2,
-            "queued identical gets must coalesce (got {})",
-            s.coalesced_gets
-        );
-        assert_eq!(s.get_req_bytes, 4 * 8);
-        assert_eq!(s.get_coal_bytes, s.coalesced_gets * 8);
-        assert_eq!(
-            s.get_wire_bytes,
-            s.get_req_bytes - s.get_coal_bytes,
-            "requested = coalesced + wire"
-        );
-    }
 }

@@ -203,9 +203,7 @@ struct CommStats {
     retries: AtomicU64,
     dup_requests: AtomicU64,
     dup_replies: AtomicU64,
-    coalesced_gets: AtomicU64,
     get_req_bytes: AtomicU64,
-    get_coal_bytes: AtomicU64,
     get_wire_bytes: AtomicU64,
     multi_gets: AtomicU64,
     multi_parts: AtomicU64,
@@ -253,16 +251,11 @@ pub struct CommStatsSnap {
     /// Late or duplicate completions (replies/acks whose pending entry
     /// was already gone) absorbed as no-ops.
     pub dup_replies: u64,
-    /// Gets that registered on an already-pending identical request and
-    /// shared its wire transfer instead of posting their own.
-    pub coalesced_gets: u64,
-    /// Payload bytes requested by every posted get (coalesced or not).
+    /// Payload bytes requested by every posted get.
     pub get_req_bytes: u64,
-    /// Requested bytes served by piggybacking on an in-flight identical
-    /// request; `get_req_bytes - get_coal_bytes == get_wire_bytes` once
-    /// the pipeline drains.
-    pub get_coal_bytes: u64,
-    /// Unique get payload bytes actually delivered off the wire.
+    /// Get payload bytes actually delivered off the wire; equals
+    /// `get_req_bytes` once the pipeline drains (duplicate reads are
+    /// merged above, by the GA tile cache, never here).
     pub get_wire_bytes: u64,
     /// `MultiGet` batch frames sent, and the gets they carried. Batch
     /// occupancy is `multi_parts / multi_gets`.
@@ -329,10 +322,8 @@ impl Retry {
 struct PendingGet {
     peer: usize,
     posted_ns: u64,
-    /// Every reader waiting on this transfer: the poster plus any later
-    /// identical requests that coalesced onto it. One reply completes
-    /// them all.
-    cbs: Vec<GetCallback>,
+    /// Completion of the poster, run once by the reply (or the abort).
+    cb: GetCallback,
     array: u32,
     offset: u64,
     len: u64,
@@ -343,16 +334,6 @@ struct PendingGet {
     /// batch (the batch owns the retry); armed when launched alone.
     retry: Option<Retry>,
     retries: u32,
-}
-
-/// Requester-side view of all gets in flight or queued: by token for
-/// completion, by `(peer, array, offset, len)` for coalescing. Both maps
-/// live under one lock so a reply removing an entry can never race a
-/// coalescing registration on it.
-#[derive(Default)]
-struct GetTable {
-    by_token: HashMap<u64, PendingGet>,
-    by_key: HashMap<(usize, u32, u64, u64), u64>,
 }
 
 /// One `MultiGet` batch in flight: the sub-request tokens it carries (in
@@ -727,7 +708,8 @@ struct Inner {
     seq_tx: Vec<AtomicU64>,
     shutdown: AtomicBool,
     counter: AtomicI64,
-    gets: Mutex<GetTable>,
+    /// Requester-side view of all gets in flight or queued, by token.
+    gets: Mutex<HashMap<u64, PendingGet>>,
     batches: Mutex<HashMap<u64, PendingBatch>>,
     get_state: Mutex<Vec<PeerGets>>,
     rndv_out: Mutex<HashMap<u64, RndvOut>>,
@@ -786,7 +768,7 @@ impl Endpoint {
             seq_tx: (0..nranks).map(|_| AtomicU64::new(0)).collect(),
             shutdown: AtomicBool::new(false),
             counter: AtomicI64::new(0),
-            gets: Mutex::new(GetTable::default()),
+            gets: Mutex::new(HashMap::new()),
             batches: Mutex::new(HashMap::new()),
             get_state: Mutex::new((0..nranks).map(|_| PeerGets::default()).collect()),
             rndv_out: Mutex::new(HashMap::new()),
@@ -850,11 +832,9 @@ impl Endpoint {
 
     /// Post an asynchronous get of `[offset, offset+len)` of `array` on
     /// `peer`'s shard. `prio` orders queued requests under backpressure;
-    /// `cb` runs on the progress thread when the data arrives.
-    ///
-    /// An identical request already pending (same peer, array, offset,
-    /// len) absorbs this one: the callback joins its waiter list and the
-    /// two share one wire transfer.
+    /// `cb` runs on the progress thread when the data arrives. Every
+    /// call is its own wire request: duplicate reads are merged above
+    /// this layer, by the GA tile cache.
     pub fn get_async(
         &self,
         peer: usize,
@@ -869,29 +849,15 @@ impl Endpoint {
         i.stats
             .get_req_bytes
             .fetch_add(len as u64 * 8, Ordering::Relaxed);
-        let key = (peer, array, offset as u64, len as u64);
         {
             let mut tbl = i.gets.lock().unwrap();
-            if let Some(&t) = tbl.by_key.get(&key) {
-                // Coalesce: the pending transfer (queued, launched, or
-                // riding a batch) will complete this reader too.
-                if let Some(pg) = tbl.by_token.get_mut(&t) {
-                    pg.cbs.push(cb);
-                    i.stats.coalesced_gets.fetch_add(1, Ordering::Relaxed);
-                    i.stats
-                        .get_coal_bytes
-                        .fetch_add(len as u64 * 8, Ordering::Relaxed);
-                    return;
-                }
-                // Stale key (entry completed): fall through and repost.
-            }
             let token = i.token.fetch_add(1, Ordering::Relaxed);
-            tbl.by_token.insert(
+            tbl.insert(
                 token,
                 PendingGet {
                     peer,
                     posted_ns: i.now_ns(),
-                    cbs: vec![cb],
+                    cb,
                     array,
                     offset: offset as u64,
                     len: len as u64,
@@ -900,7 +866,6 @@ impl Endpoint {
                     retries: 0,
                 },
             );
-            tbl.by_key.insert(key, token);
             let block = if i.cfg.locality_order {
                 (array, offset as u64)
             } else {
@@ -1337,9 +1302,7 @@ impl Endpoint {
             retries: s.retries.load(Ordering::Relaxed),
             dup_requests: s.dup_requests.load(Ordering::Relaxed),
             dup_replies: s.dup_replies.load(Ordering::Relaxed),
-            coalesced_gets: s.coalesced_gets.load(Ordering::Relaxed),
             get_req_bytes: s.get_req_bytes.load(Ordering::Relaxed),
-            get_coal_bytes: s.get_coal_bytes.load(Ordering::Relaxed),
             get_wire_bytes: s.get_wire_bytes.load(Ordering::Relaxed),
             multi_gets: s.multi_gets.load(Ordering::Relaxed),
             multi_parts: s.multi_parts.load(Ordering::Relaxed),
@@ -1459,7 +1422,7 @@ impl Inner {
                 let mut bytes = 0usize;
                 while group.len() < self.cfg.max_batch_parts.max(1) {
                     let Some(q) = st.queue.peek() else { break };
-                    let live = tbl.by_token.get(&q.token).is_some_and(|pg| !pg.launched);
+                    let live = tbl.get(&q.token).is_some_and(|pg| !pg.launched);
                     if !live {
                         // Stale heap entry (completed, or re-pushed with
                         // a different priority and already launched).
@@ -1479,7 +1442,7 @@ impl Inner {
                 st.inflight += 1;
                 if group.len() == 1 {
                     let q = &group[0];
-                    let pg = tbl.by_token.get_mut(&q.token).unwrap();
+                    let pg = tbl.get_mut(&q.token).unwrap();
                     pg.launched = true;
                     pg.retry = Some(Retry::new(&self.cfg));
                     to_send.push(Msg::Get {
@@ -1493,7 +1456,7 @@ impl Inner {
                     let mut parts = Vec::with_capacity(group.len());
                     let mut subs = Vec::with_capacity(group.len());
                     for q in &group {
-                        let pg = tbl.by_token.get_mut(&q.token).unwrap();
+                        let pg = tbl.get_mut(&q.token).unwrap();
                         pg.launched = true;
                         parts.push(GetSpec {
                             array: q.array,
@@ -1714,23 +1677,18 @@ impl Inner {
     fn abort_toward(&self, p: usize) {
         let bit = 1u64 << p;
         let mut aborted: u64 = 0;
-        let mut get_cbs: Vec<(Vec<GetCallback>, usize)> = Vec::new();
+        let mut get_cbs: Vec<(GetCallback, usize)> = Vec::new();
         {
             let mut tbl = self.gets.lock().unwrap();
             let tokens: Vec<u64> = tbl
-                .by_token
                 .iter()
                 .filter(|(_, pg)| pg.peer == p)
                 .map(|(&t, _)| t)
                 .collect();
             for t in tokens {
-                let pg = tbl.by_token.remove(&t).unwrap();
-                let key = (pg.peer, pg.array, pg.offset, pg.len);
-                if tbl.by_key.get(&key) == Some(&t) {
-                    tbl.by_key.remove(&key);
-                }
+                let pg = tbl.remove(&t).unwrap();
                 aborted += 1;
-                get_cbs.push((pg.cbs, pg.len as usize));
+                get_cbs.push((pg.cb, pg.len as usize));
             }
             self.batches.lock().unwrap().retain(|_, b| b.peer != p);
             let mut gs = self.get_state.lock().unwrap();
@@ -1857,11 +1815,8 @@ impl Inner {
         if aborted > 0 {
             self.stats.aborted_ops.fetch_add(aborted, Ordering::Relaxed);
         }
-        for (cbs, len) in get_cbs {
-            let zeros = vec![0.0f64; len];
-            for cb in cbs {
-                cb(WireSlice::F64(&zeros));
-            }
+        for (cb, len) in get_cbs {
+            cb(WireSlice::F64(&vec![0.0f64; len]));
         }
         for cb in steal_cbs {
             cb(Vec::new());
@@ -1886,7 +1841,7 @@ impl Inner {
         let mut resend: Vec<(usize, Msg)> = Vec::new();
         {
             let mut tbl = self.gets.lock().unwrap();
-            for (&token, pg) in tbl.by_token.iter_mut() {
+            for (&token, pg) in tbl.iter_mut() {
                 if let Some(r) = &mut pg.retry {
                     if r.due(now, cap) {
                         pg.retries += 1;
@@ -1913,7 +1868,7 @@ impl Inner {
                         .subs
                         .iter()
                         .map(|t| {
-                            let pg = &tbl.by_token[t];
+                            let pg = &tbl[t];
                             GetSpec {
                                 array: pg.array,
                                 offset: pg.offset,
@@ -2324,7 +2279,7 @@ impl Inner {
                 // completed still parked a payload at the server — the
                 // pull garbage-collects it (and its data lands as a
                 // counted duplicate below).
-                if !self.gets.lock().unwrap().by_token.contains_key(&token) {
+                if !self.gets.lock().unwrap().contains_key(&token) {
                     self.dup_reply();
                 }
                 self.post(from, &Msg::GetPull { token });
@@ -2413,18 +2368,10 @@ impl Inner {
         }
     }
 
-    /// Remove one pending get (and its coalescing key), record latency
-    /// and a trace span. Returns the entry for callback delivery.
+    /// Remove one pending get, record latency and a trace span. Returns
+    /// the entry for callback delivery.
     fn retire_get(&self, token: u64, eager: bool, batch_retried: bool) -> Option<PendingGet> {
-        let pg = {
-            let mut tbl = self.gets.lock().unwrap();
-            let pg = tbl.by_token.remove(&token)?;
-            let key = (pg.peer, pg.array, pg.offset, pg.len);
-            if tbl.by_key.get(&key) == Some(&token) {
-                tbl.by_key.remove(&key);
-            }
-            pg
-        };
+        let pg = self.gets.lock().unwrap().remove(&token)?;
         let now = self.now_ns();
         self.get_lat.lock().unwrap().push(now - pg.posted_ns);
         self.stats
@@ -2456,10 +2403,7 @@ impl Inner {
             return;
         };
         self.release_slot(pg.peer);
-        // Every coalesced waiter shares the one payload.
-        for cb in pg.cbs {
-            cb(data);
-        }
+        (pg.cb)(data);
     }
 
     /// Complete every sub-request of a `MultiGet` batch from its one
@@ -2482,14 +2426,12 @@ impl Inner {
             // by the batch lookup).
             if let Some(pg) = self.retire_get(sub, true, retried) {
                 debug_assert_eq!(pg.len as usize, part.len(), "part length mismatch");
-                cbs.push((pg.cbs, *part));
+                cbs.push((pg.cb, *part));
             }
         }
         self.release_slot(batch.peer);
-        for (list, part) in cbs {
-            for cb in list {
-                cb(part);
-            }
+        for (cb, part) in cbs {
+            cb(part);
         }
     }
 

@@ -14,12 +14,12 @@
 //! ranks' shards become visible exactly where GA's relaxed model makes
 //! them visible: at `sync`, which flushes the whole cache.
 //!
-//! Request coalescing lives here too: the first reader of an uncached
-//! block installs an in-flight [`Fill`] and owns the wire transfer;
-//! later readers of the same block park a [`Waiter`] on it, and the one
-//! completion serves everyone. (The comm endpoint coalesces identical
-//! per-owner *pieces* as a second line of defense; this level merges
-//! whole-block requests before they ever split by owner.)
+//! This is also the one place duplicate reads are merged: the first
+//! reader of an uncached block installs an in-flight [`Fill`] and owns
+//! the wire transfer; later readers of the same block park a [`Waiter`]
+//! on it, and the one completion serves everyone. Whole-block requests
+//! merge here before they ever split into per-owner pieces, so the comm
+//! endpoint below sends every get it is handed.
 
 use crate::stats::GaStats;
 use crate::GaGetCallback;
@@ -30,8 +30,6 @@ use std::sync::Arc;
 /// Tile-cache tuning knobs.
 #[derive(Debug, Clone)]
 pub struct TileCacheConfig {
-    /// Master switch; `false` reproduces the uncached PR-5 read path.
-    pub enabled: bool,
     /// Byte budget for cached blocks; FIFO eviction beyond it (default
     /// 256 MiB — comfortably the working set of the bench scales).
     pub capacity_bytes: usize,
@@ -43,7 +41,6 @@ pub struct TileCacheConfig {
 impl Default for TileCacheConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             capacity_bytes: 256 * 1024 * 1024,
             verify_reads: false,
         }
@@ -67,14 +64,21 @@ pub(crate) struct Fill {
 }
 
 enum Slot {
-    Ready(Arc<Vec<f64>>),
+    /// A resident block, tagged with the fill generation that made it.
+    Ready(Arc<Vec<f64>>, u64),
     Filling(Arc<Fill>),
 }
 
 struct CacheState {
     map: HashMap<Key, Slot>,
-    /// FIFO eviction order of Ready entries.
-    order: VecDeque<Key>,
+    /// FIFO eviction order of Ready entries, each tagged with its fill
+    /// generation. Invalidation leaves its entries behind (no scan on
+    /// the Acc path); an entry whose generation no longer matches the
+    /// slot's is stale, skipped by eviction and dropped at the next
+    /// `sync` flush.
+    order: VecDeque<(Key, u64)>,
+    /// Generation of the next completed fill.
+    next_gen: u64,
     bytes: usize,
     /// Arrays whose entries survive the `sync` flush (epoch-tagged
     /// retention for read-mostly operands). Invalidate-on-mutate still
@@ -118,14 +122,11 @@ impl TileCache {
             state: Mutex::new(CacheState {
                 map: HashMap::new(),
                 order: VecDeque::new(),
+                next_gen: 0,
                 bytes: 0,
                 pinned: HashSet::new(),
             }),
         })
-    }
-
-    pub(crate) fn enabled(&self) -> bool {
-        self.cfg.enabled
     }
 
     pub(crate) fn verify_reads(&self) -> bool {
@@ -138,7 +139,7 @@ impl TileCache {
     pub(crate) fn lookup(&self, key: Key, buf: Vec<f64>, cb: GaGetCallback) -> Lookup {
         let mut st = self.state.lock();
         match st.map.get(&key) {
-            Some(Slot::Ready(data)) => {
+            Some(Slot::Ready(data, _)) => {
                 let data = data.clone();
                 drop(st);
                 self.stats.record_cache_hit(key.2 * 8);
@@ -175,16 +176,19 @@ impl TileCache {
             Some(Slot::Filling(f)) if Arc::ptr_eq(f, fill)
         );
         if still_ours {
+            let gen = st.next_gen;
+            st.next_gen += 1;
             st.map
-                .insert(fill.key, Slot::Ready(Arc::new(data.to_vec())));
-            st.order.push_back(fill.key);
+                .insert(fill.key, Slot::Ready(Arc::new(data.to_vec()), gen));
+            st.order.push_back((fill.key, gen));
             st.bytes += fill.key.2 * 8;
-            // FIFO eviction; in-flight fills are never evicted.
+            // FIFO eviction, skipping stale entries so a refilled block
+            // ages from its refill; in-flight fills are never evicted.
             while st.bytes > self.cfg.capacity_bytes {
-                let Some(old) = st.order.pop_front() else {
+                let Some((old, gen)) = st.order.pop_front() else {
                     break;
                 };
-                if matches!(st.map.get(&old), Some(Slot::Ready(_))) {
+                if is_live(&st.map, &old, gen) {
                     st.map.remove(&old);
                     st.bytes -= old.2 * 8;
                 }
@@ -202,7 +206,7 @@ impl TileCache {
     /// this rank's shard. In-flight fills are detached (their completion
     /// will not be cached).
     pub(crate) fn invalidate_overlap(&self, array: usize, offset: usize, len: usize) {
-        if !self.cfg.enabled || len == 0 {
+        if len == 0 {
             return;
         }
         let mut st = self.state.lock();
@@ -215,7 +219,7 @@ impl TileCache {
             .collect();
         let n = doomed.len() as u64;
         for key in doomed {
-            if matches!(st.map.remove(&key), Some(Slot::Ready(_))) {
+            if matches!(st.map.remove(&key), Some(Slot::Ready(..))) {
                 st.bytes -= key.2 * 8;
             }
         }
@@ -227,9 +231,6 @@ impl TileCache {
 
     /// Drop every entry of `array` (collective `zero`).
     pub(crate) fn invalidate_array(&self, array: usize) {
-        if !self.cfg.enabled {
-            return;
-        }
         let mut st = self.state.lock();
         let doomed: Vec<Key> = st
             .map
@@ -239,7 +240,7 @@ impl TileCache {
             .collect();
         let n = doomed.len() as u64;
         for key in doomed {
-            if matches!(st.map.remove(&key), Some(Slot::Ready(_))) {
+            if matches!(st.map.remove(&key), Some(Slot::Ready(..))) {
                 st.bytes -= key.2 * 8;
             }
         }
@@ -294,6 +295,7 @@ impl TileCache {
             order,
             bytes,
             pinned,
+            ..
         } = &mut *st;
         let before = map.len();
         let mut dropped_bytes = 0usize;
@@ -301,12 +303,12 @@ impl TileCache {
             if pinned.contains(&a) {
                 return true;
             }
-            if matches!(slot, Slot::Ready(_)) {
+            if matches!(slot, Slot::Ready(..)) {
                 dropped_bytes += l * 8;
             }
             false
         });
-        order.retain(|k| map.contains_key(k));
+        order.retain(|(k, g)| is_live(map, k, *g));
         *bytes -= dropped_bytes;
         let flushed = (before - map.len()) as u64;
         let retained = map.len() as u64;
@@ -332,6 +334,7 @@ impl TileCache {
             order,
             bytes,
             pinned,
+            ..
         } = &mut *st;
         let mut dropped_bytes = 0usize;
         let (mut flushed, mut retained) = (0u64, 0u64);
@@ -343,13 +346,13 @@ impl TileCache {
                 retained += 1;
                 return true;
             }
-            if matches!(slot, Slot::Ready(_)) {
+            if matches!(slot, Slot::Ready(..)) {
                 dropped_bytes += l * 8;
             }
             flushed += 1;
             false
         });
-        order.retain(|k| map.contains_key(k));
+        order.retain(|(k, g)| is_live(map, k, *g));
         *bytes -= dropped_bytes;
         drop(st);
         if flushed > 0 {
@@ -367,6 +370,12 @@ impl TileCache {
     }
 }
 
+/// Whether an `order` entry still names the resident copy of its block
+/// (not one since invalidated, refilled or evicted).
+fn is_live(map: &HashMap<Key, Slot>, key: &Key, gen: u64) -> bool {
+    matches!(map.get(key), Some(Slot::Ready(_, g)) if *g == gen)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,7 +383,6 @@ mod tests {
     fn cache(cap: usize) -> Arc<TileCache> {
         TileCache::new(
             TileCacheConfig {
-                enabled: true,
                 capacity_bytes: cap,
                 verify_reads: false,
             },
@@ -478,6 +486,37 @@ mod tests {
             c.lookup((0, 30, 10), vec![0.0; 10], nop_cb()),
             Lookup::Hit { .. }
         ));
+    }
+
+    #[test]
+    fn eviction_after_refill_picks_the_oldest_live_block() {
+        let c = cache(2 * 10 * 8); // room for two 10-element blocks
+        let fill = |off: usize| {
+            let Lookup::Fill { fill, .. } = c.lookup((0, off, 10), vec![0.0; 10], nop_cb()) else {
+                panic!("miss expected");
+            };
+            c.complete(&fill, &[off as f64; 10]);
+        };
+        let (blk_a, blk_b, blk_c) = (0, 10, 20);
+        fill(blk_a);
+        fill(blk_b);
+        c.invalidate_overlap(0, blk_a, 10);
+        fill(blk_a); // A is now newer than B
+        fill(blk_c); // over capacity: B is the oldest live block
+        assert_eq!(c.resident_bytes(), 2 * 10 * 8);
+        assert!(
+            matches!(
+                c.lookup((0, blk_b, 10), vec![0.0; 10], nop_cb()),
+                Lookup::Fill { .. }
+            ),
+            "B was filled before A's refill and must be the victim"
+        );
+        for off in [blk_a, blk_c] {
+            assert!(matches!(
+                c.lookup((0, off, 10), vec![0.0; 10], nop_cb()),
+                Lookup::Hit { .. }
+            ));
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use distga::DistStore;
 pub use hash::HashIndex;
 pub use stats::GaStats;
 
-use cache::{Lookup, TileCache};
+use cache::{Fill, Lookup, TileCache};
 use distga::{Assembly, WaitSlot};
 use parking_lot::Mutex;
 use std::ops::Range;
@@ -511,7 +511,7 @@ impl Ga {
 
     /// Warm the tile cache for a later read of `[offset, offset+len)`:
     /// a miss starts the coalescable fill, a hit or in-flight fill (or
-    /// an all-local / uncached range) is left alone. Nothing is
+    /// an all-local range) is left alone. Nothing is
     /// delivered, so the `verify_reads` oracle is skipped — which is
     /// what makes this, unlike [`Ga::get_async`], safe to call from the
     /// progress thread (a blocking verify there would deadlock against
@@ -523,9 +523,6 @@ impl Ga {
         else {
             return; // local backend: every read is already a memcpy
         };
-        if !cache.enabled() {
-            return; // nowhere to park the bytes: fetching would waste wire
-        }
         let dist = store.dist_of(h.0);
         let pieces = dist.owners_of(offset, len);
         if pieces.iter().all(|(node, _)| *node == view.my_node) {
@@ -534,16 +531,7 @@ impl Ga {
         match cache.lookup((h.0, offset, len), vec![0.0; len], Box::new(|_| {})) {
             Lookup::Hit { .. } | Lookup::Joined => {}
             Lookup::Fill { fill, buf, cb } => {
-                let cache = cache.clone();
-                let final_cb: GaGetCallback = Box::new(move |assembled: Vec<f64>| {
-                    let waiters = cache.complete(&fill, &assembled);
-                    for mut w in waiters {
-                        w.buf.copy_from_slice(&assembled);
-                        (w.cb)(w.buf);
-                    }
-                    cb(assembled);
-                });
-                self.fetch_assemble(h, offset, buf, prio, final_cb, &pieces);
+                self.fetch_fill(fill, h, offset, buf, prio, cb, &pieces)
             }
         }
     }
@@ -587,10 +575,6 @@ impl Ga {
             cb(buf);
             return;
         }
-        if !cache.enabled() {
-            self.fetch_assemble(h, offset, buf, prio, cb, &pieces);
-            return;
-        }
         match cache.lookup((h.0, offset, len), buf, cb) {
             Lookup::Hit { data, mut buf, cb } => {
                 // Served from cache: no wire traffic, all bytes local.
@@ -613,25 +597,19 @@ impl Ga {
                 self.stats.record_locality(len * 8, 0);
             }
             Lookup::Fill { fill, buf, cb } => {
-                let cache = cache.clone();
-                let final_cb: GaGetCallback = Box::new(move |assembled: Vec<f64>| {
-                    let waiters = cache.complete(&fill, &assembled);
-                    for mut w in waiters {
-                        w.buf.copy_from_slice(&assembled);
-                        (w.cb)(w.buf);
-                    }
-                    cb(assembled);
-                });
-                self.fetch_assemble(h, offset, buf, prio, final_cb, &pieces);
+                self.fetch_fill(fill, h, offset, buf, prio, cb, &pieces)
             }
         }
     }
 
-    /// Uncached read: local pieces by memcpy, each remote piece one wire
-    /// get, assembled into `buf` and handed to `cb` when the last piece
-    /// lands.
-    fn fetch_assemble(
+    /// Run the wire transfer a cache miss owns: local pieces by memcpy,
+    /// each remote piece one wire get, assembled into `buf`. When the
+    /// last piece lands the block is deposited in the cache and handed
+    /// to every reader that joined the fill meanwhile, then to `cb`.
+    #[allow(clippy::too_many_arguments)]
+    fn fetch_fill(
         &self,
+        fill: Arc<Fill>,
         h: GaHandle,
         offset: usize,
         mut buf: Vec<f64>,
@@ -640,11 +618,24 @@ impl Ga {
         pieces: &[(NodeId, Range<usize>)],
     ) {
         let Backend::Dist {
-            ep, store, view, ..
+            ep,
+            store,
+            cache,
+            view,
+            ..
         } = &self.backend
         else {
-            unreachable!("fetch_assemble on local backend")
+            unreachable!("fetch_fill on local backend")
         };
+        let cache = cache.clone();
+        let cb: GaGetCallback = Box::new(move |assembled: Vec<f64>| {
+            let waiters = cache.complete(&fill, &assembled);
+            for mut w in waiters {
+                w.buf.copy_from_slice(&assembled);
+                (w.cb)(w.buf);
+            }
+            cb(assembled);
+        });
         let me = view.my_node;
         let (mut local_b, mut remote_b) = (0, 0);
         let mut remote = Vec::new();

@@ -8,7 +8,7 @@
 
 use global_arrays::{DistStore, Ga, TileCacheConfig};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 const RANKS: usize = 4;
@@ -248,27 +248,74 @@ fn repeated_remote_reads_hit_the_cache() {
     }
 }
 
-/// `enabled: false` reproduces the uncached PR-5 read path exactly:
-/// correct values, zero cache traffic counted.
+/// The tile cache is the one place duplicate reads merge: k concurrent
+/// reads of one cold remote block become one fill plus k - 1 joins, and
+/// the endpoint carries exactly one get. The reader's progress thread is
+/// held inside an unrelated get's callback while the k reads are posted,
+/// so no reply can land (and turn a join into a hit) until all k are
+/// registered.
 #[test]
-fn disabled_cache_is_fully_transparent() {
-    let cfg = TileCacheConfig {
-        enabled: false,
-        ..TileCacheConfig::default()
-    };
-    let results = run_ranks_cfg(2, cfg, |ga| {
+fn concurrent_reads_of_a_cold_block_share_one_get() {
+    const K: usize = 4;
+    let results = run_ranks_cfg(2, TileCacheConfig::default(), |ga| {
         let h = ga.create(32);
-        let fill: Vec<f64> = (0..32).map(|x| x as f64 + 0.5).collect();
+        let gate = ga.create(32);
+        let fill: Vec<f64> = (0..32).map(|x| x as f64 * 1.5).collect();
         ga.put_collective(h, 0, &fill);
+        ga.put_collective(gate, 0, &fill);
         ga.sync();
-        assert_eq!(ga.get(h, 0, 32), fill);
-        assert_eq!(ga.get(h, 0, 32), fill);
-        let gs = ga.stats();
-        (gs.cache_hits(), gs.cache_misses(), gs.remote_get_bytes())
+        if ga.rank() != 0 {
+            return None;
+        }
+        // Park rank 0's progress thread in the gate read's callback.
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        ga.get_async(
+            gate,
+            16,
+            16,
+            0,
+            Box::new(move |_| {
+                entered_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            }),
+        );
+        entered_rx.recv().unwrap();
+
+        let ep = ga.endpoint().expect("distributed backend").clone();
+        let (s0, gs) = (ep.stats(), ga.stats());
+        let (joins0, misses0) = (gs.cache_joins(), gs.cache_misses());
+        let got = Arc::new(Mutex::new(Vec::new()));
+        for _ in 0..K {
+            let got = got.clone();
+            // Rank 1 owns [16, 32): a cold, wholly remote block.
+            ga.get_async(h, 16, 16, 0, Box::new(move |v| got.lock().unwrap().push(v)));
+        }
+        let joins = ga.stats().cache_joins() - joins0;
+        let misses = ga.stats().cache_misses() - misses0;
+        release_tx.send(()).unwrap();
+        while got.lock().unwrap().len() < K {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let s1 = ep.stats();
+        let got = std::mem::take(&mut *got.lock().unwrap());
+        Some((
+            joins,
+            misses,
+            s1.gets - s0.gets,
+            s1.get_req_bytes - s0.get_req_bytes,
+            got,
+            fill[16..].to_vec(),
+        ))
     });
-    for (hits, misses, wire) in results {
-        assert_eq!((hits, misses), (0, 0), "disabled cache must count nothing");
-        assert_eq!(wire, 2 * 16 * 8, "both reads pay full remote traffic");
+    let (joins, misses, gets, req_bytes, got, want) = results[0].clone().expect("rank 0 reads");
+    assert_eq!(misses, 1, "the first reader owns the fill");
+    assert_eq!(joins, K as u64 - 1, "every later reader joins it");
+    assert_eq!(gets, 1, "the endpoint sees one get");
+    assert_eq!(req_bytes, 16 * 8, "one block requested on the wire");
+    assert_eq!(got.len(), K);
+    for v in got {
+        assert_eq!(v, want, "every reader gets the owner's values");
     }
 }
 

@@ -1,16 +1,14 @@
 //! A PaRSEC-like distributed task runtime.
 //!
-//! Two engines execute the same [`ptg::TaskGraph`]s:
+//! Two engines execute the same [`ptg::TaskGraph`]s: one production
+//! engine and one simulator.
 //!
 //! * [`native::NativeRuntime`] — a real threaded executor for one
 //!   shared-memory node: per-worker work-stealing deques, sharded
 //!   dependency tracking and payload store ([`shard`]), an eventcount
 //!   idle gate, real task bodies. Used for correctness (the "matched to
 //!   the 14th digit" checks) and as the library a shared-memory user
-//!   would actually run. Its pre-sharding ancestor is preserved as
-//!   [`coarse::CoarseRuntime`] — one mutex around queue + tracker +
-//!   store — as the baseline the dispatch-throughput benchmark measures
-//!   against.
+//!   would actually run.
 //! * [`simengine::SimEngine`] — a discrete-event executor that runs the
 //!   graph on a *modeled* cluster (nodes x cores, per-node NIC with FIFO
 //!   queueing, processor-shared memory bandwidth, a node-wide mutex for
@@ -23,7 +21,6 @@
 //! in [`sched`]: a max-priority queue with FIFO tie-breaking, which is what
 //! makes the paper's v2-vs-v4 priority experiment reproducible.
 
-pub mod coarse;
 pub mod cost;
 pub mod native;
 pub mod pool;
@@ -32,7 +29,6 @@ pub mod shard;
 pub mod simengine;
 pub mod tracker;
 
-pub use coarse::CoarseRuntime;
 pub use cost::CostModel;
 pub use native::{NativeReport, NativeRuntime, SourcePoll, StealStats, WorkSource};
 pub use pool::{PoolStats, TilePool};

@@ -21,9 +21,7 @@
 //! oldest-first) rather than a total order over all ready tasks — the
 //! same approximation PaRSEC's default scheduler makes, and invisible to
 //! numerics because task graphs order all value-carrying dependencies
-//! explicitly. The previous globally-ordered, coarse-locked engine
-//! survives as [`crate::coarse::CoarseRuntime`] for benchmarking and as
-//! a semantic reference.
+//! explicitly.
 
 use crate::sched::SchedPolicy;
 use crate::shard::{IdleGate, ShardMap, ShardedTracker};
@@ -88,9 +86,8 @@ pub trait WorkSource: Send + Sync {
     fn poll(&self) -> SourcePoll;
 }
 
-/// Assemble a [`NativeReport`] from per-worker span sets. Shared with the
-/// coarse baseline engine so both report identically.
-pub(crate) fn build_report(
+/// Assemble a [`NativeReport`] from per-worker span sets.
+fn build_report(
     graph: &TaskGraph,
     span_sets: &[Vec<(u32, u64, u64)>],
     tasks: u64,
@@ -1035,23 +1032,21 @@ mod tests {
     }
 
     #[test]
-    fn matches_coarse_engine_counts() {
-        let run = |coarse: bool| {
-            let total = Arc::new(AtomicU64::new(0));
-            let g = TaskGraph::new(
-                vec![Arc::new(Reduce {
-                    n: 32,
-                    total: total.clone(),
-                })],
-                Arc::new(PlainCtx { nodes: 1 }),
-            );
-            let tasks = if coarse {
-                crate::coarse::CoarseRuntime::new(3).run(&g).tasks
-            } else {
-                NativeRuntime::new(3).run(&g).tasks
-            };
-            (tasks, total.load(Ordering::Relaxed))
-        };
-        assert_eq!(run(true), run(false));
+    fn counts_match_audit_and_closed_form() {
+        let n = 32;
+        let total = Arc::new(AtomicU64::new(0));
+        let g = TaskGraph::new(
+            vec![Arc::new(Reduce {
+                n,
+                total: total.clone(),
+            })],
+            Arc::new(PlainCtx { nodes: 1 }),
+        );
+        let audit = ptg::validate::audit(&g, 1_000).expect("sound graph");
+        let rep = NativeRuntime::new(3).run(&g);
+        assert_eq!(rep.tasks, audit.total_tasks as u64);
+        assert_eq!(rep.steal.per_worker_tasks.iter().sum::<u64>(), rep.tasks);
+        // Leaves contribute 0 + 1 + ... + (n - 1).
+        assert_eq!(total.load(Ordering::Relaxed), (n * (n - 1) / 2) as u64);
     }
 }
