@@ -40,6 +40,23 @@ for f in target/BENCH_epilogue.json BENCH_epilogue.json; do
     fi
 done
 
+echo "==> BENCH_kernels.json well-formed"
+# The SIMD tier and core count the kernel numbers were taken on, and the
+# GEMM rows at the benchmark workloads' chain shapes.
+for f in target/BENCH_kernels.json BENCH_kernels.json; do
+    if [ -f "$f" ]; then
+        if command -v jq >/dev/null 2>&1; then
+            jq -e '(.tier | type == "string") and .nproc >= 1
+                   and (.dgemm_tce_cold | length > 0)
+                   and all(.dgemm_tce_cold[]; .workload and .m and .n and .k and .packed_gflops > 0)' \
+                "$f" >/dev/null
+        else
+            python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert isinstance(d['tier'], str) and d['nproc'] >= 1; rows=d['dgemm_tce_cold']; assert rows and all(r['workload'] and r['m'] and r['n'] and r['k'] and r['packed_gflops'] > 0 for r in rows)" "$f"
+        fi
+        echo "    $f OK"
+    fi
+done
+
 echo "==> comm smoke (4 ranks x 4 workers over sockets, v1..v5 + fused v5 vs single-process energies, verified tile cache)"
 # The smoke runs every rank with 4 stealing workers beside the comm
 # progress thread (the fused-engine hot configuration) and the tile

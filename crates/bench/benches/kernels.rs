@@ -135,7 +135,9 @@ fn row(v: &[f64]) -> String {
 }
 
 /// The kernel matrix behind the data-path optimization work: naive vs
-/// blocked vs packed dgemm GFLOP/s at 64/128/256 cubed, the linear vs
+/// blocked vs packed dgemm GFLOP/s at 64/128/256 cubed and at the CCSD
+/// chain shapes of the benchmark workloads (with the dispatched SIMD
+/// tier and the core count), the linear vs
 /// cache-tiled `sort_4` remap in MB/s, and the tile pool's steady-state
 /// counters over a pooled v5 run. Printed, and written to
 /// `BENCH_kernels.json` at the repo root (under `target/` in quick mode,
@@ -215,6 +217,65 @@ fn bench_kernel_matrix(_c: &mut Criterion) {
         );
     }
 
+    // --- dgemm at the engine's chain shapes: A^T * B with beta = 0, as
+    // a v5 GEMM task runs it, on operands that are cold in L1/L2 (each
+    // call takes the next of several copies spanning 32 MiB, the way
+    // fresh tiles arrive from the Global Array).
+    const TCE_SHAPES: [(&str, usize, usize, usize); 2] =
+        [("ccsd_node", 100, 108, 108), ("ccsd_mesh", 60, 72, 72)];
+    let mut tce_rows = Vec::new();
+    for &(workload, m, n, k) in &TCE_SHAPES {
+        let copies = ((32 << 20) / (8 * (m * k + k * n))).max(2);
+        let ops: Vec<(Vec<f64>, Vec<f64>)> =
+            (0..copies).map(|_| (seq(m * k), seq(k * n))).collect();
+        let mut cc = vec![0.0; m * n];
+        let mut ap = vec![0.0; params.packed_a_len(m, k)];
+        let mut bp = vec![0.0; params.packed_b_len(n, k)];
+        let flops = 2.0 * (m * n * k) as f64 * copies as f64;
+        let tp = best_of(reps, || {
+            for (a, b) in &ops {
+                dgemm_packed_with(
+                    &params,
+                    Trans::T,
+                    Trans::N,
+                    m,
+                    n,
+                    k,
+                    1.0,
+                    black_box(a),
+                    black_box(b),
+                    0.0,
+                    &mut cc,
+                    &mut ap,
+                    &mut bp,
+                )
+            }
+        });
+        let tb = best_of(reps, || {
+            for (a, b) in &ops {
+                dgemm_blocked(
+                    Trans::T,
+                    Trans::N,
+                    m,
+                    n,
+                    k,
+                    1.0,
+                    black_box(a),
+                    black_box(b),
+                    0.0,
+                    &mut cc,
+                )
+            }
+        });
+        let (packed, blocked) = (flops / tp / 1e9, flops / tb / 1e9);
+        println!(
+            "bench kernel_matrix/dgemm_tn_cold_{m}x{n}x{k} ({workload})  blocked {blocked:6.2} GF/s   packed {packed:6.2} GF/s"
+        );
+        tce_rows.push(format!(
+            "    {{\"workload\": \"{workload}\", \"m\": {m}, \"n\": {n}, \"k\": {k}, \"blocked_gflops\": {blocked:.3}, \"packed_gflops\": {packed:.3}}}"
+        ));
+    }
+
     // --- sort_4: linear walk vs cache-tiled remap on a fully strided
     // permutation (both read n and write n doubles per pass).
     let dims = [24usize, 24, 24, 24];
@@ -267,7 +328,9 @@ fn bench_kernel_matrix(_c: &mut Criterion) {
     );
 
     let json = format!(
-        "{{\n  \"quick\": {quick},\n  \"dgemm_tn\": {{\n    \"sizes\": [64, 128, 256],\n    \"naive_gflops\": [{}],\n    \"blocked_gflops\": [{}],\n    \"packed_gflops\": [{}],\n    \"packed_over_blocked\": [{}]\n  }},\n  \"sort4\": {{\n    \"dims\": [24, 24, 24, 24],\n    \"perm\": [3, 2, 1, 0],\n    \"naive_mb_per_s\": {naive_mbs:.0},\n    \"tiled_mb_per_s\": {tiled_mbs:.0},\n    \"tiled_over_naive\": {:.3}\n  }},\n  \"pool_v5_tiny\": {{\n    \"warmup_misses\": {},\n    \"steady_checkouts\": {steady_checkouts},\n    \"steady_misses\": {steady_misses},\n    \"cow_clones\": {},\n    \"bytes_allocated\": {}\n  }}\n}}\n",
+        "{{\n  \"quick\": {quick},\n  \"tier\": \"{}\",\n  \"nproc\": {},\n  \"dgemm_tn\": {{\n    \"sizes\": [64, 128, 256],\n    \"naive_gflops\": [{}],\n    \"blocked_gflops\": [{}],\n    \"packed_gflops\": [{}],\n    \"packed_over_blocked\": [{}]\n  }},\n  \"dgemm_tce_cold\": [\n{}\n  ],\n  \"sort4\": {{\n    \"dims\": [24, 24, 24, 24],\n    \"perm\": [3, 2, 1, 0],\n    \"naive_mb_per_s\": {naive_mbs:.0},\n    \"tiled_mb_per_s\": {tiled_mbs:.0},\n    \"tiled_over_naive\": {:.3}\n  }},\n  \"pool_v5_tiny\": {{\n    \"warmup_misses\": {},\n    \"steady_checkouts\": {steady_checkouts},\n    \"steady_misses\": {steady_misses},\n    \"cow_clones\": {},\n    \"bytes_allocated\": {}\n  }}\n}}\n",
+        tensor_kernels::pack::tier().name(),
+        std::thread::available_parallelism().map_or(1, |p| p.get()),
         row(&naive_gf),
         row(&blocked_gf),
         row(&packed_gf),
@@ -278,6 +341,7 @@ fn bench_kernel_matrix(_c: &mut Criterion) {
                 .map(|(i, _)| packed_gf[i] / blocked_gf[i])
                 .collect::<Vec<_>>()
         ),
+        tce_rows.join(",\n"),
         t_naive / t_tiled,
         warm.misses,
         steady.cow_clones,

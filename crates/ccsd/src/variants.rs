@@ -169,7 +169,8 @@ impl TaskClass for Reader {
             Operand::A => (ws.tensor(g.a_tensor).0, g.a_offset, g.a_len),
             Operand::B => (ws.tensor(g.b_tensor).0, g.b_offset, g.b_len),
         };
-        let mut data = c.pool.checkout(len);
+        // `get_into` overwrites every element: no zero pass needed.
+        let mut data = c.pool.checkout_dirty(len);
         ws.ga.get_into(h, offset, &mut data);
         vec![Some(Arc::new(data))]
     }
@@ -486,10 +487,13 @@ impl TaskClass for Gemm {
             return vec![None, None, Some(Arc::new(cbuf)), None];
         }
         let segment_head = !c.cfg.chained_gemms && key.params[1] % c.cfg.segment_height as i64 == 0;
-        let mut cbuf = if c.cfg.chained_gemms || !segment_head {
-            own(c, inputs[2].take().expect("C from predecessor"))
+        // A segment head starts a fresh C: `beta = 0` overwrites it (the
+        // packed engine folds beta into each element's first visit,
+        // `dgemm_blocked` fills), so the buffer needs no zero pass.
+        let (mut cbuf, beta) = if c.cfg.chained_gemms || !segment_head {
+            (own(c, inputs[2].take().expect("C from predecessor")), 1.0)
         } else {
-            c.pool.checkout(chain.m * chain.n)
+            (c.pool.checkout_dirty(chain.m * chain.n), 0.0)
         };
         if packed_profitable(m, n, k) {
             // Packing scratch comes from the pool too: after warm-up a
@@ -507,7 +511,7 @@ impl TaskClass for Gemm {
                 1.0,
                 &a,
                 &b,
-                1.0,
+                beta,
                 &mut cbuf,
                 &mut ap,
                 &mut bp,
@@ -515,7 +519,7 @@ impl TaskClass for Gemm {
             c.pool.recycle(ap);
             c.pool.recycle(bp);
         } else {
-            dgemm_blocked(Trans::T, g.tb, m, n, k, 1.0, &a, &b, 1.0, &mut cbuf);
+            dgemm_blocked(Trans::T, g.tb, m, n, k, 1.0, &a, &b, beta, &mut cbuf);
         }
         // Operand tiles feed exactly this GEMM: recycle their buffers.
         c.pool.release(a);

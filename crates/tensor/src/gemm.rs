@@ -9,10 +9,11 @@
 //!   packing, no cache blocking: fast for tiles that fit in L1/L2.
 //! * [`dgemm_packed`] — the BLIS-style engine: panels of `op(A)` and
 //!   `op(B)` are packed into contiguous scratch ([`crate::pack`]),
-//!   normalizing all four transpose combinations, and an `MR x NR`
-//!   register microkernel (AVX2+FMA when the CPU has it) runs a
-//!   `MC/KC/NC`-blocked loop nest over them. Wins once the operands
-//!   outgrow cache or the wide units are worth unlocking.
+//!   normalizing all four transpose combinations, and a 16x12
+//!   register microkernel (AVX-512F or AVX2+FMA, whichever the CPU has;
+//!   see [`crate::pack`] for the tiers) runs a `MC/KC/NC`-blocked loop
+//!   nest over them. Wins once the operands outgrow cache or the wide
+//!   units are worth unlocking.
 //!
 //! [`dgemm`] dispatches between them by problem volume; both are exact
 //! against [`dgemm_naive`] in the property tests.
@@ -476,7 +477,7 @@ pub fn dgemm_packed_epilogue(
                     for ir in 0..mcc.div_ceil(MR) {
                         let apanel = &ap[ir * MR * kcc..(ir + 1) * MR * kcc];
                         let mr_eff = MR.min(mcc - ir * MR);
-                        microkernel(kcc, apanel, bpanel, &mut tile);
+                        microkernel(kcc, apanel, bpanel, mr_eff, nr_eff, &mut tile);
                         // Clipped writeback: the tile rows/columns past
                         // the block edge are zero-padded products and
                         // are simply not stored. Each C element's first
@@ -744,14 +745,20 @@ mod tests {
 
     #[test]
     fn packed_agrees_with_naive_all_transposes() {
-        // Sizes straddling MR=8 / NR=6 micropanels and the custom block
+        // Sizes straddling the MR x NR micropanels and the custom block
         // edges; every transpose combination.
         let params = GemmParams {
-            mc: 16,
+            mc: 2 * MR,
             kc: 8,
-            nc: 12,
+            nc: 2 * NR,
         };
-        for &(m, n, k) in &[(1, 1, 1), (8, 6, 8), (9, 7, 9), (17, 13, 11), (32, 24, 16)] {
+        for &(m, n, k) in &[
+            (1, 1, 1),
+            (MR, NR, 8),
+            (MR + 1, NR + 1, 9),
+            (2 * MR + 1, NR - 1, 11),
+            (3 * MR + 5, 3 * NR + 1, 17),
+        ] {
             let a: Vec<f64> = (0..m * k).map(|i| (i as f64 * 0.7).sin()).collect();
             let b: Vec<f64> = (0..k * n).map(|i| (i as f64 * 0.3).cos()).collect();
             let c0: Vec<f64> = (0..m * n).map(|i| i as f64 * 0.01 - 0.2).collect();

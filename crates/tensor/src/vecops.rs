@@ -1,10 +1,12 @@
 //! Elementwise vector helpers (`DFILL`, `DAXPY`, `DDOT`) and comparison
 //! utilities for the "matched up to the 14th digit" agreement checks.
 //!
-//! `dfill`/`daxpy` carry the same runtime AVX2+FMA dispatch as the GEMM
-//! microkernel ([`crate::pack::simd_available`]), so the accumulates that
-//! stay *unfused* (reduction-tree interior nodes, staged sorts) are not
-//! left scalar while the fused epilogues run vectorized.
+//! `dfill`/`daxpy` run on AVX2+FMA whenever the GEMM engine runs a SIMD
+//! tier ([`crate::pack::simd_available`]; the AVX-512 tier includes
+//! AVX2), so the accumulates that stay *unfused* (reduction-tree interior
+//! nodes, staged sorts) are not left scalar while the fused epilogues
+//! run vectorized. Both are memory-bound streams, so they keep 256-bit
+//! vectors on AVX-512 hosts too.
 
 /// `DFILL`: set every element to `value`.
 pub fn dfill(x: &mut [f64], value: f64) {

@@ -1,11 +1,27 @@
 //! Property tests: kernel implementations vs naive oracles.
 
 use proptest::prelude::*;
+use tensor_kernels::pack::{MR, NR};
 use tensor_kernels::{
     daxpy, dgemm, dgemm_naive, dgemm_packed_epilogue, dgemm_packed_with, invert_perm, sort_4,
     sort_4_merge, sort_4_multi, sort_4_naive, sort_4_tiled, Epilogue, GemmParams, Perm4, SortSpec,
     Trans,
 };
+
+/// Odd and prime GEMM extents for the packed-engine properties, on both
+/// sides of the micropanel edges (`MR`, `NR` and their multiples) and of
+/// the [`shrunk_params`] cache-block edges.
+const SIZES: [usize; 11] = [1, 5, 7, 9, 11, 13, 17, 23, 31, 33, 47];
+
+/// Block sizes two micropanels wide, so sizes up to 47 cross several
+/// `MC`/`KC`/`NC` block boundaries as well as partial micropanels.
+fn shrunk_params() -> GemmParams {
+    GemmParams {
+        mc: 2 * MR,
+        kc: 8,
+        nc: 2 * NR,
+    }
+}
 
 fn trans() -> impl Strategy<Value = Trans> {
     prop_oneof![Just(Trans::N), Just(Trans::T)]
@@ -142,22 +158,21 @@ proptest! {
     /// The packed engine agrees with the naive oracle to 1e-12 for all
     /// four transpose combinations, degenerate alpha/beta, and odd and
     /// prime sizes straddling the MC/KC/NC block edges. Shrunk block
-    /// parameters (mc=16, kc=8, nc=12) put every size in the list on
-    /// both sides of some cache-block boundary, and sizes that are not
-    /// multiples of MR=8 / NR=6 exercise the zero-padded micropanels and
+    /// parameters (mc = 2*MR, kc = 8, nc = 2*NR) put the sizes in the
+    /// list on both sides of cache-block boundaries, and sizes that are
+    /// not multiples of MR / NR exercise the zero-padded micropanels and
     /// the clipped writeback.
     #[test]
     fn packed_dgemm_matches_naive_all_transposes(
-        mi in 0usize..8,
-        ni in 0usize..8,
-        ki in 0usize..8,
+        mi in 0..SIZES.len(),
+        ni in 0..SIZES.len(),
+        ki in 0..SIZES.len(),
         alpha in prop_oneof![Just(0.0f64), Just(1.0), Just(-0.5), Just(2.0)],
         beta in prop_oneof![Just(0.0f64), Just(1.0), Just(-0.5), Just(2.0)],
         seed in 0u64..1000,
     ) {
-        const ODD: [usize; 8] = [1, 5, 7, 9, 13, 17, 23, 31];
-        let params = GemmParams { mc: 16, kc: 8, nc: 12 };
-        let (m, n, k) = (ODD[mi], ODD[ni], ODD[ki]);
+        let params = shrunk_params();
+        let (m, n, k) = (SIZES[mi], SIZES[ni], SIZES[ki]);
         let gen = |len: usize, salt: u64| -> Vec<f64> {
             (0..len).map(|i| {
                 let x = (i as u64).wrapping_mul(6364136223846793005).wrapping_add(seed ^ salt);
@@ -221,17 +236,16 @@ proptest! {
     /// sizes.
     #[test]
     fn fused_scale_accumulate_matches_separate(
-        mi in 0usize..8,
-        ni in 0usize..8,
-        ki in 0usize..8,
+        mi in 0..SIZES.len(),
+        ni in 0..SIZES.len(),
+        ki in 0..SIZES.len(),
         alpha in prop_oneof![Just(1.0f64), Just(-0.5), Just(2.0)],
         beta in prop_oneof![Just(0.0f64), Just(1.0), Just(-0.5)],
         gamma in prop_oneof![Just(1.0f64), Just(-1.0), Just(0.25)],
         seed in 0u64..1000,
     ) {
-        const ODD: [usize; 8] = [1, 5, 7, 9, 13, 17, 23, 31];
-        let params = GemmParams { mc: 16, kc: 8, nc: 12 };
-        let (m, n, k) = (ODD[mi], ODD[ni], ODD[ki]);
+        let params = shrunk_params();
+        let (m, n, k) = (SIZES[mi], SIZES[ni], SIZES[ki]);
         let gen = |len: usize, salt: u64| -> Vec<f64> {
             (0..len).map(|i| {
                 let x = (i as u64).wrapping_mul(6364136223846793005).wrapping_add(seed ^ salt);
@@ -278,15 +292,14 @@ proptest! {
         d1 in 1usize..6,
         d2 in 1usize..6,
         d3 in 1usize..6,
-        ki in 0usize..8,
+        ki in 0..SIZES.len(),
         with_addend in any::<bool>(),
         factor in prop_oneof![Just(1.0f64), Just(-1.0), Just(0.5)],
         seed in 0u64..1000,
     ) {
-        const ODD: [usize; 8] = [1, 5, 7, 9, 13, 17, 23, 31];
-        let params = GemmParams { mc: 16, kc: 8, nc: 12 };
+        let params = shrunk_params();
         let dims = [d0, d1, d2, d3];
-        let (m, n, k) = (d0 * d1, d2 * d3, ODD[ki]);
+        let (m, n, k) = (d0 * d1, d2 * d3, SIZES[ki]);
         let gen = |len: usize, salt: u64| -> Vec<f64> {
             (0..len).map(|i| {
                 let x = (i as u64).wrapping_mul(6364136223846793005).wrapping_add(seed ^ salt);
