@@ -9,6 +9,16 @@ cargo build --release
 echo "==> cargo test -q (workspace: includes the loopback chaos matrices)"
 cargo test --workspace -q
 
+echo "==> verify CLI (all five variants, native engine, single-process GA backend)"
+# Every variant's energy against the serial reference, on the in-process
+# backend whose readers view whole-segment blocks in place.
+for args in "--scale tiny" "--scale small --kernels t2_2,t2_7"; do
+    # shellcheck disable=SC2086 # word-split the argument list on purpose
+    verify_out=$(cargo run --release -q -- verify $args)
+    echo "$verify_out"
+    echo "$verify_out" | grep -q "OK: all variants match" || { echo "verify $args failed"; exit 1; }
+done
+
 echo "==> perfbench build + self-test (its own cargo workspace: the --workspace steps never compile it)"
 # The benchmark compiles against the crates' public API by path; building
 # it here turns an API break into a red CI instead of a broken benchmark.

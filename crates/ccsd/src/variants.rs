@@ -4,7 +4,8 @@
 //! Task classes (Figures 4-7):
 //!
 //! * `READ_A(L1, L2)` / `READ_B(L1, L2)` — pull one `t2` / `v` block from
-//!   the Global Array into runtime-managed memory;
+//!   the Global Array into runtime-managed memory, or, when this rank
+//!   owns the whole block, hand on a read-only view of its shard;
 //! * `DFILL(L1)` — zero-initialize the chain's C tile (chained variant);
 //! * `GEMM(L1, L2)` — one tensor-contraction tile multiply; chained (v1)
 //!   or independent with private C (v2-v5);
@@ -19,10 +20,11 @@
 //!   are parallel (v1, v3).
 
 use crate::ctx::{CcsdCtx, VariantCfg, ACC_CRITICAL_SLOWDOWN, ACC_RMW_FACTOR, SORT_STRIDE_FACTOR};
+use global_arrays::GaHandle;
 use parsec_rt::TilePool;
 use ptg::{Activity, Dep, GraphCtx, Payload, TaskClass, TaskCost, TaskGraph, TaskKey};
 use std::sync::Arc;
-use tce::Inspection;
+use tce::{Inspection, Workspace};
 use tensor_kernels::{
     dgemm_blocked, dgemm_packed_epilogue, dgemm_packed_with, epilogue_params, packed_profitable,
     sort_4, sort_4_merge, sort_4_strided, Epilogue, GemmParams, SortSpec, Trans,
@@ -164,15 +166,14 @@ impl TaskClass for Reader {
     ) -> Vec<Option<Payload>> {
         let c = cc(ctx);
         let Some(ws) = &c.ws else { return vec![None] };
-        let g = &c.chain(key.params[0]).gemms[key.params[1] as usize];
-        let (h, offset, len) = match self.0 {
-            Operand::A => (ws.tensor(g.a_tensor).0, g.a_offset, g.a_len),
-            Operand::B => (ws.tensor(g.b_tensor).0, g.b_offset, g.b_len),
-        };
+        let (h, offset, len) = self.block(c, ws, key);
+        if let Some(view) = view_local(ws, h, offset, len) {
+            return vec![Some(view)];
+        }
         // `get_into` overwrites every element: no zero pass needed.
         let mut data = c.pool.checkout_dirty(len);
         ws.ga.get_into(h, offset, &mut data);
-        vec![Some(Arc::new(data))]
+        vec![Some(Payload::from(data))]
     }
     fn execute_async(
         &self,
@@ -187,17 +188,19 @@ impl TaskClass for Reader {
             drop(done);
             return Some(self.execute(key, ctx, inputs));
         }
+        let ws = c.ws.as_ref().unwrap();
+        let (h, offset, len) = self.block(c, ws, key);
+        // A block this rank owns outright needs no transfer to overlap:
+        // complete synchronously with a view of the shard.
+        if let Some(view) = view_local(ws, h, offset, len) {
+            drop(done);
+            return Some(vec![Some(view)]);
+        }
         // Prefetch pipeline: hand the transfer to the comm layer at this
         // reader's graph priority and free the worker immediately. The
         // progress engine's in-flight caps + priority queue turn the
         // pending readers into a deepest-first prefetch window; the get
         // completion re-enters the engine through the completion sink.
-        let ws = c.ws.as_ref().unwrap();
-        let g = &c.chain(key.params[0]).gemms[key.params[1] as usize];
-        let (h, offset, len) = match self.0 {
-            Operand::A => (ws.tensor(g.a_tensor).0, g.a_offset, g.a_len),
-            Operand::B => (ws.tensor(g.b_tensor).0, g.b_offset, g.b_len),
-        };
         let prio = c.prio(key.params[0], c.cfg.reader_offset);
         // Pooled destination buffer, as in the synchronous path: the
         // async pipeline fills it in place (cache hit, coalesced join,
@@ -208,10 +211,28 @@ impl TaskClass for Reader {
             offset,
             buf,
             prio,
-            Box::new(move |data| done.finish(vec![Some(Arc::new(data))])),
+            Box::new(move |data| done.finish(vec![Some(Payload::from(data))])),
         );
         None
     }
+}
+
+impl Reader {
+    /// The Global Array block `(array, offset, len)` this reader pulls.
+    fn block(&self, c: &CcsdCtx, ws: &Workspace, key: TaskKey) -> (GaHandle, usize, usize) {
+        let g = &c.chain(key.params[0]).gemms[key.params[1] as usize];
+        match self.0 {
+            Operand::A => (ws.tensor(g.a_tensor).0, g.a_offset, g.a_len),
+            Operand::B => (ws.tensor(g.b_tensor).0, g.b_offset, g.b_len),
+        }
+    }
+}
+
+/// A read-only view of a block this rank holds in one shard segment —
+/// GA's `ga_access`: the GEMM reads the shard in place, no copy.
+fn view_local(ws: &Workspace, h: GaHandle, offset: usize, len: usize) -> Option<Payload> {
+    let (buf, range) = ws.ga.get_shared(h, offset, len)?;
+    Some(Payload::view(buf, range))
 }
 
 // ------------------------------------------------------------------- dfill --
@@ -266,7 +287,7 @@ impl TaskClass for Dfill {
             return vec![None];
         }
         let chain = c.chain(key.params[0]);
-        vec![Some(Arc::new(c.pool.checkout(chain.m * chain.n)))]
+        vec![Some(Payload::from(c.pool.checkout(chain.m * chain.n)))]
     }
 }
 
@@ -433,7 +454,7 @@ impl TaskClass for Gemm {
             // packed engine's writeback. C is produced once, in its
             // final (merged / sorted) form.
             let addend = (chain.gemms.len() > 1).then(|| inputs[3].take().expect("reduce addend"));
-            let x = addend.as_deref().map(|v| v.as_slice());
+            let x = addend.as_deref();
             let epi = if chain.sorts.len() == 1 {
                 let s = &chain.sorts[0];
                 Epilogue::PermutedScatter {
@@ -484,7 +505,7 @@ impl TaskClass for Gemm {
             if let Some(x) = addend {
                 c.pool.release(x);
             }
-            return vec![None, None, Some(Arc::new(cbuf)), None];
+            return vec![None, None, Some(Payload::from(cbuf)), None];
         }
         let segment_head = !c.cfg.chained_gemms && key.params[1] % c.cfg.segment_height as i64 == 0;
         // A segment head starts a fresh C: `beta = 0` overwrites it (the
@@ -521,10 +542,11 @@ impl TaskClass for Gemm {
         } else {
             dgemm_blocked(Trans::T, g.tb, m, n, k, 1.0, &a, &b, beta, &mut cbuf);
         }
-        // Operand tiles feed exactly this GEMM: recycle their buffers.
+        // Operand tiles feed exactly this GEMM: recycle copied buffers
+        // (shard views are just dropped).
         c.pool.release(a);
         c.pool.release(b);
-        vec![None, None, Some(Arc::new(cbuf)), None]
+        vec![None, None, Some(Payload::from(cbuf)), None]
     }
 }
 
@@ -608,7 +630,7 @@ impl TaskClass for Reduce {
             (Some(one), None) | (None, Some(one)) => own(c, one),
             (None, None) => panic!("REDUCE with no inputs"),
         };
-        vec![None, None, Some(Arc::new(out))]
+        vec![None, None, Some(Payload::from(out))]
     }
 }
 
@@ -745,7 +767,7 @@ impl TaskClass for Sort {
         // Parallel-sort variants share one C across branches; the last
         // branch to finish returns the buffer.
         c.pool.release(cbuf);
-        vec![None, Some(Arc::new(out))]
+        vec![None, Some(Payload::from(out))]
     }
 }
 

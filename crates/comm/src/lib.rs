@@ -140,6 +140,43 @@ mod tests {
         h.join().unwrap();
     }
 
+    #[test]
+    fn undrained_records_stop_at_the_cap() {
+        use crate::progress::MAX_BUFFERED_RECORDS;
+        let (e0, _e1, _s0, _s1) = pair();
+        let extra = 50;
+        let done = Arc::new(AtomicUsize::new(0));
+        for i in 0..MAX_BUFFERED_RECORDS + extra {
+            let done = done.clone();
+            e0.get_async(
+                1,
+                0,
+                i % 8,
+                1,
+                0,
+                Box::new(move |_: WireSlice<'_>| {
+                    done.fetch_add(1, Ordering::SeqCst);
+                }),
+            );
+        }
+        while done.load(Ordering::SeqCst) < MAX_BUFFERED_RECORDS + extra {
+            std::thread::yield_now();
+        }
+        // One latency and one span per get up to the cap; the rest are
+        // counted, not kept.
+        assert_eq!(e0.stats().dropped_records, 2 * extra as u64);
+        let lat = e0.take_latencies();
+        let trace = e0.take_trace();
+        assert_eq!(lat.len(), MAX_BUFFERED_RECORDS);
+        assert_eq!(trace.spans().len(), MAX_BUFFERED_RECORDS);
+        // Below the cap recording is as before: a drained endpoint keeps
+        // every record again.
+        assert_eq!(e0.get_blocking(1, 0, 0, 1).len(), 1);
+        assert_eq!(e0.take_latencies().len(), 1);
+        assert_eq!(e0.take_trace().spans().len(), 1);
+        assert_eq!(e0.stats().dropped_records, 2 * extra as u64);
+    }
+
     /// Post gets to offsets 0..8 at priorities 0..8 and report completion
     /// order (first element is the un-queued head-start launch).
     fn drain_order(cfg: CommConfig) -> (Arc<Endpoint>, Vec<i64>) {

@@ -36,6 +36,15 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use xtrace::{ActivityKind, Trace, WorkerId};
 
+/// Most get latencies, and most comm trace spans, an endpoint keeps
+/// between two drains ([`Endpoint::take_latencies`],
+/// [`Endpoint::take_trace`]). A long-lived endpoint nobody drains — a
+/// service rank — would otherwise grow by one entry per retired
+/// operation forever. Far above the few thousand spans one distributed
+/// solve records; entries past it are dropped (the newest go) and
+/// counted in [`CommStatsSnap::dropped_records`].
+pub(crate) const MAX_BUFFERED_RECORDS: usize = 1 << 16;
+
 /// Rank-local storage the progress engine services requests against.
 /// Offsets are *global* element offsets; implementations translate to
 /// their shard and must own the whole requested range (requesters split
@@ -220,6 +229,7 @@ struct CommStats {
     pings_tx: AtomicU64,
     rejoins: AtomicU64,
     aborted_ops: AtomicU64,
+    dropped_records: AtomicU64,
 }
 
 /// Point-in-time copy of a rank's communication counters.
@@ -291,6 +301,9 @@ pub struct CommStatsSnap {
     /// completed with zeros, acks force-completed, collective waits
     /// poison-released, ...).
     pub aborted_ops: u64,
+    /// Get latencies and trace spans not kept because the undrained
+    /// buffer was full (65 536 entries each).
+    pub dropped_records: u64,
 }
 
 /// Deadline state of one retryable in-flight request.
@@ -1319,6 +1332,7 @@ impl Endpoint {
             pings_tx: s.pings_tx.load(Ordering::Relaxed),
             rejoins: s.rejoins.load(Ordering::Relaxed),
             aborted_ops: s.aborted_ops.load(Ordering::Relaxed),
+            dropped_records: s.dropped_records.load(Ordering::Relaxed),
         }
     }
 
@@ -1392,6 +1406,21 @@ impl CvWait for Condvar {
 impl Inner {
     fn now_ns(&self) -> u64 {
         self.t0.elapsed().as_nanos() as u64
+    }
+
+    /// Record a span from `posted_ns` to now on this rank's comm row,
+    /// unless the undrained trace is full.
+    fn push_span(&self, class: impl FnOnce(&TraceIds) -> u16, posted_ns: u64) {
+        let now = self.now_ns();
+        let mut t = self.trace.lock().unwrap();
+        if t.0.spans().len() >= MAX_BUFFERED_RECORDS {
+            drop(t);
+            self.stats.dropped_records.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let class = class(&t.1);
+        let row = WorkerId::new(self.rank as u32, self.cfg.comm_worker);
+        t.0.push(row, class, posted_ns, now);
     }
 
     /// Encode and send, counting frames and bytes.
@@ -2322,13 +2351,7 @@ impl Inner {
                 } else {
                     self.stats.steal_dry_rx.fetch_add(1, Ordering::Relaxed);
                 }
-                let now = self.now_ns();
-                {
-                    let mut t = self.trace.lock().unwrap();
-                    let class = t.1.steal[granted as usize];
-                    let row = WorkerId::new(self.rank as u32, self.cfg.comm_worker);
-                    t.0.push(row, class, sw.posted_ns, now);
-                }
+                self.push_span(|ids| ids.steal[granted as usize], sw.posted_ns);
                 (sw.cb)(chains);
             }
             Msg::SubmitReply { token, job_id } => {
@@ -2336,13 +2359,7 @@ impl Inner {
                     self.dup_reply();
                     return;
                 };
-                let now = self.now_ns();
-                {
-                    let mut t = self.trace.lock().unwrap();
-                    let class = t.1.job[0];
-                    let row = WorkerId::new(self.rank as u32, self.cfg.comm_worker);
-                    t.0.push(row, class, sw.posted_ns, now);
-                }
+                self.push_span(|ids| ids.job[0], sw.posted_ns);
                 (sw.cb)(job_id);
             }
             Msg::JobStatusReply {
@@ -2359,11 +2376,7 @@ impl Inner {
                     self.dup_reply();
                     return;
                 };
-                let now = self.now_ns();
-                let mut t = self.trace.lock().unwrap();
-                let class = t.1.job[1];
-                let row = WorkerId::new(self.rank as u32, self.cfg.comm_worker);
-                t.0.push(row, class, jw.posted_ns, now);
+                self.push_span(|ids| ids.job[1], jw.posted_ns);
             }
         }
     }
@@ -2373,17 +2386,22 @@ impl Inner {
     fn retire_get(&self, token: u64, eager: bool, batch_retried: bool) -> Option<PendingGet> {
         let pg = self.gets.lock().unwrap().remove(&token)?;
         let now = self.now_ns();
-        self.get_lat.lock().unwrap().push(now - pg.posted_ns);
+        {
+            let mut lat = self.get_lat.lock().unwrap();
+            if lat.len() < MAX_BUFFERED_RECORDS {
+                lat.push(now - pg.posted_ns);
+            } else {
+                self.stats.dropped_records.fetch_add(1, Ordering::Relaxed);
+            }
+        }
         self.stats
             .get_wire_bytes
             .fetch_add(pg.len * 8, Ordering::Relaxed);
-        {
-            let mut t = self.trace.lock().unwrap();
-            let retried = pg.retries > 0 || batch_retried;
-            let class = t.1.get[retried as usize][eager as usize];
-            let row = WorkerId::new(self.rank as u32, self.cfg.comm_worker);
-            t.0.push(row, class, pg.posted_ns, now);
-        }
+        let retried = pg.retries > 0 || batch_retried;
+        self.push_span(
+            |ids| ids.get[retried as usize][eager as usize],
+            pg.posted_ns,
+        );
         Some(pg)
     }
 
@@ -2443,18 +2461,16 @@ impl Inner {
         // Garbage-collect the parked rendezvous payload, if any.
         self.rndv_out.lock().unwrap().remove(&token);
         if ack.kind != AckKind::Reset {
-            let now = self.now_ns();
-            {
-                let mut t = self.trace.lock().unwrap();
-                let retried = (ack.retries > 0) as usize;
-                let class = match ack.kind {
-                    AckKind::Put => t.1.put[retried][ack.eager as usize],
-                    AckKind::Acc => t.1.acc[retried][ack.eager as usize],
+            let retried = (ack.retries > 0) as usize;
+            let eager = ack.eager as usize;
+            self.push_span(
+                |ids| match ack.kind {
+                    AckKind::Put => ids.put[retried][eager],
+                    AckKind::Acc => ids.acc[retried][eager],
                     AckKind::Reset => unreachable!(),
-                };
-                let row = WorkerId::new(self.rank as u32, self.cfg.comm_worker);
-                t.0.push(row, class, ack.posted_ns, now);
-            }
+                },
+                ack.posted_ns,
+            );
             let mut n = self.outstanding.lock().unwrap();
             *n -= 1;
             if *n == 0 {

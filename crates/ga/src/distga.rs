@@ -4,14 +4,21 @@
 //! array (a [`DistStore`]), and the comm progress engine answers remote
 //! `Get`/`Put`/`Acc`/`NxtVal` active messages against it — the real shape
 //! of GA's data server. [`crate::Ga`] methods split every range by owner:
-//! local pieces short-circuit to memcpy, remote pieces go on the wire.
+//! local pieces short-circuit to memcpy, remote pieces go on the wire, and
+//! a range wholly inside this rank's shard can be read with no copy at all
+//! ([`crate::Ga::get_shared`]). Shards are copy-on-write
+//! ([`crate::shard`]), so such a view stays valid while put/acc/zero —
+//! local, or applied by the progress engine for a remote rank — go on.
 
 use crate::cache::TileCache;
 use crate::dist::Distribution;
+use crate::shard::Shard;
+use crate::stats::GaStats;
 use crate::{GaGetCallback, GangView};
 use comm::{Endpoint, ShardStore, WireSlice};
 use parking_lot::{Condvar as PlCondvar, Mutex};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 
 /// Array ids are namespaced by gang tag: `id = (tag << NS_SHIFT) | idx`,
@@ -35,7 +42,7 @@ struct DistArray {
     /// logical node this rank is within each array's gang).
     base: usize,
     /// This rank's owned slice, indexed by `global - base`.
-    shard: Mutex<Vec<f64>>,
+    shard: Shard,
 }
 
 #[derive(Default)]
@@ -62,6 +69,9 @@ pub struct DistStore {
     /// active messages, which the progress engine applies through the
     /// same methods — invalidates overlapping cached blocks here.
     cache: OnceLock<Arc<TileCache>>,
+    /// The owning `Ga`'s counters, attached with the cache: shard clones
+    /// forced by live views are counted here, whoever wrote.
+    stats: OnceLock<Arc<GaStats>>,
 }
 
 impl DistStore {
@@ -73,11 +83,20 @@ impl DistStore {
             state: Mutex::new(StoreState::default()),
             created: PlCondvar::new(),
             cache: OnceLock::new(),
+            stats: OnceLock::new(),
         })
     }
 
-    pub(crate) fn attach_cache(&self, cache: Arc<TileCache>) {
+    /// Attach the owning `Ga`'s tile cache and counters (first set wins).
+    pub(crate) fn attach(&self, cache: Arc<TileCache>, stats: Arc<GaStats>) {
         let _ = self.cache.set(cache);
+        let _ = self.stats.set(stats);
+    }
+
+    fn count_clone(&self, cloned: bool) {
+        if let Some(stats) = self.stats.get() {
+            stats.record_shard_write(cloned);
+        }
     }
 
     /// This store's rank.
@@ -94,7 +113,7 @@ impl DistStore {
         let dist = Distribution::new(len, nodes);
         let r = dist.range_of(my_node);
         let base = r.start;
-        let shard = Mutex::new(vec![0.0; r.len()]);
+        let shard = Shard::new(r.len());
         let mut st = self.state.lock();
         let idx = st.next_idx.entry(tag).or_insert(0);
         assert!(*idx < (1 << NS_SHIFT), "namespace {tag} exhausted");
@@ -168,20 +187,30 @@ impl DistStore {
     /// eviction).
     pub(crate) fn read_local(&self, h: usize, offset: usize, out: &mut [f64]) {
         match self.array(h) {
-            Some(a) => {
-                let s = a.base;
-                out.copy_from_slice(&a.shard.lock()[offset - s..offset - s + out.len()]);
-            }
+            Some(a) => a.shard.copy_into(offset - a.base, out),
             None => out.fill(0.0),
         }
+    }
+
+    /// A view of the global range `[offset, offset+len)`: the shard's
+    /// buffer and the range's place in it, or `None` unless the range
+    /// lies wholly inside this rank's shard.
+    pub(crate) fn view_local(
+        &self,
+        h: usize,
+        offset: usize,
+        len: usize,
+    ) -> Option<(Arc<Vec<f64>>, Range<usize>)> {
+        let a = self.live(h);
+        let at = offset.checked_sub(a.base)?;
+        (at + len <= a.shard.len()).then(|| (a.shard.view(), at..at + len))
     }
 
     pub(crate) fn write_local(&self, h: usize, offset: usize, data: &[f64]) {
         let Some(a) = self.array(h) else {
             return; // destroyed: late duplicate is dropped
         };
-        let s = a.base;
-        a.shard.lock()[offset - s..offset - s + data.len()].copy_from_slice(data);
+        self.count_clone(a.shard.write(offset - a.base, data));
         // Invalidate *after* the shard holds the new value: a concurrent
         // reader either hits the doomed entry (pre-write value, allowed
         // before the write completes) or refetches post-write data —
@@ -195,16 +224,7 @@ impl DistStore {
         let Some(a) = self.array(h) else {
             return; // destroyed: late duplicate is dropped
         };
-        let s = a.base;
-        {
-            let mut shard = a.shard.lock();
-            for (dst, x) in shard[offset - s..offset - s + data.len()]
-                .iter_mut()
-                .zip(data)
-            {
-                *dst += alpha * x;
-            }
-        }
+        self.count_clone(a.shard.acc(offset - a.base, data, alpha));
         if let Some(c) = self.cache.get() {
             c.invalidate_overlap(h, offset, data.len());
         }
@@ -212,7 +232,7 @@ impl DistStore {
 
     pub(crate) fn zero_local(&self, h: usize) {
         if let Some(a) = self.array(h) {
-            a.shard.lock().fill(0.0);
+            self.count_clone(a.shard.zero());
         }
         if let Some(c) = self.cache.get() {
             c.invalidate_array(h);
@@ -237,7 +257,7 @@ impl DistStore {
                     a.dist.len(),
                     a.dist.nodes(),
                     a.base,
-                    a.shard.lock().clone(),
+                    a.shard.view().to_vec(),
                 )
             })
             .collect();
@@ -272,7 +292,7 @@ impl DistStore {
                 Arc::new(DistArray {
                     dist,
                     base,
-                    shard: Mutex::new(shard),
+                    shard: Shard::from_vec(shard),
                 }),
             );
         }

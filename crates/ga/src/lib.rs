@@ -23,6 +23,12 @@
 //! messages, and `NXTVAL` becomes a fetch-and-add on rank 0's counter
 //! shard instead of a process-global atomic.
 //!
+//! Both backends keep owned segments in one copy-on-write shard type, so
+//! both offer GA's `ga_access`: [`Ga::get_shared`] hands out a read-only
+//! view of a range that one local segment holds, with no copy. A writer
+//! never waits for such a view; it clones the segment instead (counted in
+//! [`GaStats::shard_clones`]) and the view keeps its snapshot.
+//!
 //! The distributed read path is fronted by a per-rank read-through
 //! [`cache::TileCache`]: completed gets are kept keyed by
 //! `(array, offset, len)`, repeats are served locally, concurrent reads
@@ -35,6 +41,7 @@ pub mod ckpt;
 pub mod dist;
 pub mod distga;
 pub mod hash;
+mod shard;
 pub mod stats;
 
 pub use cache::TileCacheConfig;
@@ -47,6 +54,7 @@ pub use stats::GaStats;
 use cache::{Fill, Lookup, TileCache};
 use distga::{Assembly, WaitSlot};
 use parking_lot::Mutex;
+use shard::Shard;
 use std::ops::Range;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -126,7 +134,7 @@ struct Array {
     /// Per-node owned segments, guarded individually so that concurrent
     /// accumulates to different nodes do not serialize (and accumulates to
     /// the same node do, as in GA).
-    segments: Vec<Mutex<Vec<f64>>>,
+    segments: Vec<Shard>,
 }
 
 /// Storage strategy behind a [`Ga`] instance.
@@ -187,7 +195,7 @@ impl Ga {
         assert_eq!(ep.rank(), store.rank(), "endpoint and store disagree");
         let stats = Arc::new(GaStats::default());
         let cache = TileCache::new(cache_cfg, stats.clone());
-        store.attach_cache(cache.clone());
+        store.attach(cache.clone(), stats.clone());
         let view = GangView::full(ep.rank(), ep.nranks());
         Self {
             nodes: ep.nranks(),
@@ -357,7 +365,7 @@ impl Ga {
             Backend::Local { arrays, .. } => {
                 let dist = Distribution::new(len, self.nodes);
                 let segments = (0..self.nodes)
-                    .map(|n| Mutex::new(vec![0.0; dist.range_of(n).len()]))
+                    .map(|n| Shard::new(dist.range_of(n).len()))
                     .collect();
                 let mut arrays = arrays.lock();
                 arrays.push(Arc::new(Array { dist, segments }));
@@ -437,10 +445,11 @@ impl Ga {
             Backend::Local { .. } => {
                 let a = self.array(h);
                 for (node, range) in a.dist.owners_of(offset, out.len()) {
-                    let seg = a.segments[node].lock();
                     let s = a.dist.range_of(node).start;
-                    out[range.start - offset..range.end - offset]
-                        .copy_from_slice(&seg[range.start - s..range.end - s]);
+                    a.segments[node].copy_into(
+                        range.start - s,
+                        &mut out[range.start - offset..range.end - offset],
+                    );
                 }
                 self.stats.record_locality(out.len() * 8, 0);
             }
@@ -467,6 +476,38 @@ impl Ga {
             }
         }
         self.stats.record_get(out.len() * 8);
+    }
+
+    /// `ga_access`: a read-only view of `[offset, offset+len)` with no
+    /// copy — the shard's buffer and the range's place in it — when one
+    /// segment this rank holds covers the whole range. `None` otherwise
+    /// (any remote piece, or a block straddling two local segments): the
+    /// caller falls back on a copying get. Counted exactly like a local
+    /// [`Self::get`]. The view is a snapshot: a later write to the array
+    /// leaves it unchanged (the writer clones the segment, counted in
+    /// [`GaStats::shard_clones`]), and a later read sees the write.
+    pub fn get_shared(
+        &self,
+        h: GaHandle,
+        offset: usize,
+        len: usize,
+    ) -> Option<(Arc<Vec<f64>>, Range<usize>)> {
+        let shared = match &self.backend {
+            Backend::Local { .. } => {
+                let a = self.array(h);
+                match a.dist.owners_of(offset, len).as_slice() {
+                    [(node, range)] => {
+                        let at = range.start - a.dist.range_of(*node).start;
+                        Some((a.segments[*node].view(), at..at + len))
+                    }
+                    _ => None,
+                }
+            }
+            Backend::Dist { store, .. } => store.view_local(h.0, offset, len),
+        }?;
+        self.stats.record_get(len * 8);
+        self.stats.record_locality(len * 8, 0);
+        Some(shared)
     }
 
     /// Asynchronous get: assembles `[offset, offset+len)` (local pieces by
@@ -497,10 +538,11 @@ impl Ga {
             Backend::Local { .. } => {
                 let a = self.array(h);
                 for (node, range) in a.dist.owners_of(offset, len) {
-                    let seg = a.segments[node].lock();
                     let s = a.dist.range_of(node).start;
-                    buf[range.start - offset..range.end - offset]
-                        .copy_from_slice(&seg[range.start - s..range.end - s]);
+                    a.segments[node].copy_into(
+                        range.start - s,
+                        &mut buf[range.start - offset..range.end - offset],
+                    );
                 }
                 self.stats.record_locality(len * 8, 0);
                 cb(buf);
@@ -725,10 +767,10 @@ impl Ga {
             Backend::Local { .. } => {
                 let a = self.array(h);
                 for (node, range) in a.dist.owners_of(offset, data.len()) {
-                    let mut seg = a.segments[node].lock();
                     let s = a.dist.range_of(node).start;
                     let src = &data[range.start - offset..range.end - offset];
-                    seg[range.start - s..range.end - s].copy_from_slice(src);
+                    self.stats
+                        .record_shard_write(a.segments[node].write(range.start - s, src));
                 }
                 self.stats.record_locality(data.len() * 8, 0);
             }
@@ -806,12 +848,13 @@ impl Ga {
             Backend::Local { .. } => {
                 let a = self.array(h);
                 for (node, range) in a.dist.owners_of(offset, data.len()) {
-                    let mut seg = a.segments[node].lock();
                     let s = a.dist.range_of(node).start;
                     let src = &data[range.start - offset..range.end - offset];
-                    for (dst, x) in seg[range.start - s..range.end - s].iter_mut().zip(src) {
-                        *dst += alpha * x;
-                    }
+                    self.stats.record_shard_write(a.segments[node].acc(
+                        range.start - s,
+                        src,
+                        alpha,
+                    ));
                 }
                 self.stats.record_locality(data.len() * 8, 0);
             }
@@ -857,10 +900,8 @@ impl Ga {
         match &self.backend {
             Backend::Local { .. } => {
                 let a = self.array(h);
-                let mut seg = a.segments[node].lock();
-                for (dst, x) in seg[begin - lo..end - lo].iter_mut().zip(src) {
-                    *dst += alpha * x;
-                }
+                self.stats
+                    .record_shard_write(a.segments[node].acc(begin - lo, src, alpha));
                 self.stats.record_locality(src.len() * 8, 0);
             }
             Backend::Dist {
@@ -890,7 +931,7 @@ impl Ga {
                 let a = self.array(h);
                 let mut out = Vec::with_capacity(a.dist.len());
                 for seg in &a.segments {
-                    out.extend_from_slice(&seg.lock());
+                    out.extend_from_slice(&seg.view());
                 }
                 out
             }
@@ -908,7 +949,7 @@ impl Ga {
             Backend::Local { .. } => {
                 let a = self.array(h);
                 for seg in &a.segments {
-                    seg.lock().fill(0.0);
+                    self.stats.record_shard_write(seg.zero());
                 }
             }
             Backend::Dist { store, cache, .. } => {
@@ -1022,6 +1063,31 @@ mod tests {
         let h2 = ga2.create(8);
         ga2.acc(h2, 1, &data, 1.0);
         assert_eq!(ga.snapshot(h), ga2.snapshot(h2));
+    }
+
+    #[test]
+    fn shared_view_keeps_its_snapshot_across_put_and_acc() {
+        let ga = Ga::init(2);
+        let h = ga.create(8); // node0: 0..4, node1: 4..8
+        ga.put(h, 0, &(0..8).map(f64::from).collect::<Vec<_>>());
+        let (buf, range) = ga.get_shared(h, 5, 3).expect("inside node 1");
+        assert_eq!(range, 1..4);
+        assert_eq!(ga.stats().get_bytes(), 24, "counted like a get");
+        ga.put(h, 4, &[-1.0; 2]);
+        ga.acc(h, 6, &[10.0; 2], 1.0);
+        assert_eq!(buf[range], [5.0, 6.0, 7.0], "the view keeps the old values");
+        assert_eq!(
+            ga.get(h, 5, 3),
+            vec![-1.0, 16.0, 17.0],
+            "a new read sees the writes"
+        );
+        // The put cloned the viewed segment; the acc then wrote the
+        // clone in place.
+        assert_eq!(ga.stats().shard_clones(), 1);
+        // A block across two segments is not viewable; a zero-length one
+        // has no segment to view.
+        assert!(ga.get_shared(h, 3, 2).is_none());
+        assert!(ga.get_shared(h, 3, 0).is_none());
     }
 
     #[test]

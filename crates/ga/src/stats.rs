@@ -23,6 +23,7 @@ pub struct GaStats {
     remote_get_bytes: AtomicU64,
     stale_reads: AtomicU64,
     cache_retained: AtomicU64,
+    shard_clones: AtomicU64,
 }
 
 impl GaStats {
@@ -45,6 +46,11 @@ impl GaStats {
     /// calling rank or crossed rank boundaries. The in-process backend
     /// counts everything as local (there is no wire); the distributed
     /// backend splits by shard ownership.
+    /// Count one shard write that had to clone (`cloned` true) or not.
+    pub(crate) fn record_shard_write(&self, cloned: bool) {
+        self.shard_clones
+            .fetch_add(u64::from(cloned), Ordering::Relaxed);
+    }
     pub(crate) fn record_locality(&self, local: usize, remote: usize) {
         self.local_bytes.fetch_add(local as u64, Ordering::Relaxed);
         self.remote_bytes
@@ -78,6 +84,12 @@ impl GaStats {
     /// Number of NXTVAL acquisitions.
     pub fn nxtvals(&self) -> u64 {
         self.nxtvals.load(Ordering::Relaxed)
+    }
+    /// Shard segments a put/acc/zero had to clone because a
+    /// [`crate::Ga::get_shared`] view of them was still live. Zero on the
+    /// CCSD data path, where no solve writes an array it reads.
+    pub fn shard_clones(&self) -> u64 {
+        self.shard_clones.load(Ordering::Relaxed)
     }
     /// Bytes of get/put/acc traffic whose owner was the calling rank.
     pub fn local_bytes(&self) -> u64 {

@@ -167,6 +167,35 @@ fn locality_stats_split_by_ownership() {
     assert_eq!(stats[1], (0, 0));
 }
 
+/// `get_shared` views only this rank's own shard, counts like a local
+/// get, and keeps its snapshot while another rank's accumulate — applied
+/// here by the progress engine — rewrites the shard under it.
+#[test]
+fn shared_view_of_own_shard_survives_a_remote_acc() {
+    let out = run_ranks(2, |ga| {
+        let h = ga.create(8); // rank 0 owns [0, 4), rank 1 owns [4, 8)
+        ga.put_collective(h, 0, &(0..8).map(f64::from).collect::<Vec<_>>());
+        ga.sync();
+        let mine = ga.distribution(h, ga.rank());
+        let local0 = ga.stats().local_bytes();
+        let (buf, range) = ga
+            .get_shared(h, mine.start + 1, 2)
+            .expect("a range inside the own shard is viewable");
+        assert_eq!(ga.stats().local_bytes() - local0, 16);
+        assert!(ga.get_shared(h, 3, 2).is_none(), "straddles both ranks");
+        ga.sync();
+        if ga.rank() == 1 {
+            ga.acc(h, 0, &[100.0; 4], 1.0); // all of rank 0's shard
+        }
+        ga.sync();
+        let view = buf[range].to_vec();
+        let fresh = ga.get(h, mine.start + 1, 2);
+        (view, fresh, ga.stats().shard_clones())
+    });
+    assert_eq!(out[0], (vec![1.0, 2.0], vec![101.0, 102.0], 1));
+    assert_eq!(out[1], (vec![5.0, 6.0], vec![5.0, 6.0], 0));
+}
+
 #[test]
 fn async_get_feeds_callback_with_assembled_range() {
     let got = run_ranks(2, |ga| {

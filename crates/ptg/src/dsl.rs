@@ -1067,9 +1067,9 @@ mod tests {
         let key = TaskKey::new(gemm_id, &[0, 1]);
         let class = g.class_of(key);
         let mut inputs: Vec<Option<Payload>> = vec![
-            Some(Arc::new(vec![1.0])),
-            Some(Arc::new(vec![2.0])),
-            Some(Arc::new(vec![3.0])),
+            Some(Payload::from(vec![1.0])),
+            Some(Payload::from(vec![2.0])),
+            Some(Payload::from(vec![3.0])),
         ];
         let out = class.execute(key, ctx, &mut inputs);
         // Default body forwards flow C (index 2).
@@ -1092,7 +1092,7 @@ mod tests {
             BODY done
         "#;
         let g = DslBuilder::new(src)
-            .data("table", |args| Arc::new(vec![args[0] as f64]))
+            .data("table", |args| Payload::from(vec![args[0] as f64]))
             .body("passx", |_k, inputs| {
                 let x = inputs[0].take();
                 vec![None, x]

@@ -23,6 +23,7 @@ pub mod expr;
 pub mod validate;
 
 use std::any::Any;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Index of a task class within its [`TaskGraph`].
@@ -61,9 +62,67 @@ pub struct Dep {
     pub dst_flow: FlowId,
 }
 
-/// Data carried along a flow. Tiles are `f64` buffers; tasks that carry no
-/// data (pure control dependencies) pass an empty buffer.
-pub type Payload = Arc<Vec<f64>>;
+/// Data carried along a flow: a shared, read-only view of a range of an
+/// `f64` buffer. Most payloads view a whole buffer a task produced
+/// ([`From<Vec<f64>>`]); a reader task whose block lies wholly in a
+/// locally owned Global Array shard hands on a view of that shard instead
+/// of a copy ([`Payload::view`]). Tasks that carry no data (pure control
+/// dependencies) pass an empty buffer. Cloning shares the buffer.
+#[derive(Clone)]
+pub struct Payload {
+    buf: Arc<Vec<f64>>,
+    range: Range<usize>,
+}
+
+impl Payload {
+    /// View `range` of a shared buffer. Panics when the range does not
+    /// lie inside the buffer.
+    pub fn view(buf: Arc<Vec<f64>>, range: Range<usize>) -> Self {
+        assert!(
+            range.start <= range.end && range.end <= buf.len(),
+            "view {range:?} outside a buffer of {}",
+            buf.len()
+        );
+        Self { buf, range }
+    }
+
+    /// The buffer itself, when this view is its only reference and covers
+    /// all of it — the case where a consumer may take the memory over
+    /// (recycle it, or write into it in place). Any other view comes back
+    /// unchanged as the error.
+    pub fn into_vec(self) -> Result<Vec<f64>, Payload> {
+        if self.range != (0..self.buf.len()) {
+            return Err(self);
+        }
+        Arc::try_unwrap(self.buf).map_err(|buf| Self {
+            buf,
+            range: self.range,
+        })
+    }
+}
+
+impl From<Vec<f64>> for Payload {
+    fn from(v: Vec<f64>) -> Self {
+        let range = 0..v.len();
+        Self {
+            buf: Arc::new(v),
+            range,
+        }
+    }
+}
+
+impl std::ops::Deref for Payload {
+    type Target = [f64];
+    fn deref(&self) -> &[f64] {
+        &self.buf[self.range.clone()]
+    }
+}
+
+impl std::fmt::Debug for Payload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
+    }
+}
 
 /// Cost descriptor consumed by the simulated engine's hardware model.
 /// The native engine ignores costs and runs real bodies.
@@ -313,6 +372,48 @@ mod tests {
         let k = TaskKey::new(2, &[5, 6]);
         assert_eq!(k.params, [5, 6, 0, 0]);
         assert_eq!(k.class, 2);
+    }
+
+    #[test]
+    fn payload_views_deref_to_their_range() {
+        let buf = Arc::new((0..8).map(f64::from).collect::<Vec<_>>());
+        let v = Payload::view(buf.clone(), 2..5);
+        assert_eq!(&*v, &[2.0, 3.0, 4.0]);
+        assert_eq!(v.len(), 3);
+        assert_eq!(format!("{v:?}"), "[2.0, 3.0, 4.0]");
+        let empty = Payload::view(buf, 8..8);
+        assert!(empty.is_empty());
+        let whole = Payload::from(vec![1.0, 2.0]);
+        assert_eq!(&*whole, &[1.0, 2.0]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn payload_view_past_the_end_panics() {
+        let _ = Payload::view(Arc::new(vec![0.0; 4]), 2..5);
+    }
+
+    #[test]
+    fn into_vec_needs_a_unique_whole_view() {
+        // Unique and whole: the buffer itself comes back.
+        assert_eq!(
+            Payload::from(vec![1.0, 2.0]).into_vec().ok(),
+            Some(vec![1.0, 2.0])
+        );
+        // Whole but shared: refused until the other reference is gone.
+        let p = Payload::from(vec![3.0; 4]);
+        let q = p.clone();
+        let p = p
+            .into_vec()
+            .expect_err("shared view must not yield its buffer");
+        drop(q);
+        assert_eq!(p.into_vec().ok(), Some(vec![3.0; 4]));
+        // Unique but partial: refused, and the view is handed back intact.
+        let part = Payload::view(Arc::new(vec![0.0, 1.0, 2.0]), 1..3);
+        let back = part
+            .into_vec()
+            .expect_err("partial view must not yield its buffer");
+        assert_eq!(&*back, &[1.0, 2.0]);
     }
 
     #[test]

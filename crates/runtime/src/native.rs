@@ -773,7 +773,7 @@ mod tests {
             if key.params[0] == 0 {
                 self.total
                     .fetch_add(key.params[1] as u64, Ordering::Relaxed);
-                vec![Some(Arc::new(vec![key.params[1] as f64]))]
+                vec![Some(Payload::from(vec![key.params[1] as f64]))]
             } else {
                 vec![None]
             }
@@ -893,7 +893,7 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_micros(200));
                 let i = done.key().params[1];
                 total.fetch_add(i as u64, Ordering::Relaxed);
-                done.finish(vec![Some(Arc::new(vec![i as f64]))]);
+                done.finish(vec![Some(Payload::from(vec![i as f64]))]);
             });
             None
         }
@@ -953,7 +953,7 @@ mod tests {
             if key.params[0] == 0 {
                 self.total
                     .fetch_add(key.params[1] as u64, Ordering::Relaxed);
-                vec![Some(Arc::new(vec![key.params[1] as f64]))]
+                vec![Some(Payload::from(vec![key.params[1] as f64]))]
             } else {
                 vec![None]
             }

@@ -1,8 +1,11 @@
 //! Pooled tile memory for the data path.
 //!
 //! Every task body in the chain data path works on short-lived `Vec<f64>`
-//! tile buffers: operand tiles pulled from the Global Array, private C
-//! accumulators, sort scratch, GEMM packing panels. Allocating these per
+//! tile buffers: operand tiles pulled from remote Global Array shards,
+//! private C accumulators, sort scratch, GEMM packing panels. (An operand
+//! block this rank owns outright never comes here: its reader hands on a
+//! read-only [`Payload`] view of the shard, and [`TilePool::release`]
+//! leaves such views alone.) Allocating these per
 //! task puts the allocator's lock and page-zeroing on the critical path of
 //! every GEMM — the same class of overhead the paper attributes to the
 //! original code's per-call buffer management. [`TilePool`] is a sharded
@@ -200,24 +203,27 @@ impl TilePool {
         self.shards[home].lock().entry(class).or_default().push(v);
     }
 
-    /// Recycle the buffer behind `p` if this was the last reference;
-    /// otherwise just drop the reference.
+    /// Recycle the buffer behind `p` if `p` is its last reference and
+    /// covers all of it; otherwise just drop the view. A view of a Global
+    /// Array shard therefore never lands in a free list: the shard keeps
+    /// its own reference.
     pub fn release(&self, p: Payload) {
-        if let Ok(v) = std::sync::Arc::try_unwrap(p) {
+        if let Ok(v) = p.into_vec() {
             self.recycle(v);
         }
     }
 
-    /// Take ownership of a payload's buffer: in-place when this is the
-    /// last reference, copy-on-write through the pool when it is still
-    /// shared (counted in [`PoolStats::cow_clones`]).
+    /// Take ownership of a payload's buffer: in place when `p` is its
+    /// last reference and covers all of it, otherwise (a shared buffer or
+    /// a shard view) copied into a pooled buffer, counted in
+    /// [`PoolStats::cow_clones`].
     pub fn own(&self, p: Payload) -> Vec<f64> {
-        match std::sync::Arc::try_unwrap(p) {
+        match p.into_vec() {
             Ok(v) => v,
-            Err(shared) => {
+            Err(view) => {
                 self.cow_clones.fetch_add(1, Ordering::Relaxed);
-                let mut v = self.checkout(shared.len());
-                v.copy_from_slice(&shared);
+                let mut v = self.checkout_dirty(view.len());
+                v.copy_from_slice(&view);
                 v
             }
         }
@@ -315,12 +321,12 @@ mod tests {
     #[test]
     fn own_unique_reuses_shared_clones() {
         let pool = TilePool::new(2);
-        let unique: Payload = Arc::new(vec![1.0; 32]);
+        let unique = Payload::from(vec![1.0; 32]);
         let v = pool.own(unique);
         assert_eq!(v, vec![1.0; 32]);
         assert_eq!(pool.stats().cow_clones, 0);
 
-        let shared: Payload = Arc::new(vec![2.0; 32]);
+        let shared = Payload::from(vec![2.0; 32]);
         let keep = shared.clone();
         let w = pool.own(shared);
         assert_eq!(w, vec![2.0; 32]);
@@ -331,13 +337,31 @@ mod tests {
     #[test]
     fn release_recycles_only_last_ref() {
         let pool = TilePool::new(2);
-        let p: Payload = Arc::new(pool.checkout(16));
+        let p = Payload::from(pool.checkout(16));
         let q = p.clone();
         pool.release(p);
         assert_eq!(pool.free_buffers(), 0);
         pool.release(q);
         assert_eq!(pool.free_buffers(), 1);
         assert_eq!(pool.stats().recycles, 1);
+    }
+
+    #[test]
+    fn views_of_a_shard_are_never_recycled_and_own_copies() {
+        let pool = TilePool::new(2);
+        let shard = Arc::new((0..64).map(f64::from).collect::<Vec<_>>());
+        // A view of part of the shard, and one of all of it: neither is
+        // the shard's last reference, so neither may enter a free list.
+        pool.release(Payload::view(shard.clone(), 8..24));
+        pool.release(Payload::view(shard.clone(), 0..64));
+        assert_eq!(pool.free_buffers(), 0);
+        assert_eq!(pool.stats().recycles, 0);
+        // Owning a view copies out of the shard and counts a COW clone.
+        let v = pool.own(Payload::view(shard.clone(), 8..24));
+        assert_eq!(v, (8..24).map(f64::from).collect::<Vec<_>>());
+        assert_eq!(pool.stats().cow_clones, 1);
+        assert_eq!(Arc::strong_count(&shard), 1, "views must not leak");
+        assert_eq!(shard[8], 8.0, "the shard is untouched");
     }
 
     #[test]

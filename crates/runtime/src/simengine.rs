@@ -816,7 +816,7 @@ mod tests {
             ) -> Vec<Option<Payload>> {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 let prev = inputs[0].take().map(|p| p[0]).unwrap_or(1.0);
-                vec![Some(Arc::new(vec![prev * 2.0 + key.params[0] as f64]))]
+                vec![Some(Payload::from(vec![prev * 2.0 + key.params[0] as f64]))]
             }
         }
         let hits = Arc::new(AtomicU64::new(0));

@@ -12,7 +12,7 @@
 
 use parsec_rt::NativeRuntime;
 use ptg::dsl::DslBuilder;
-use ptg::PlainCtx;
+use ptg::{Payload, PlainCtx};
 use std::sync::{Arc, Mutex};
 
 const SRC: &str = r#"
@@ -66,16 +66,18 @@ fn main() {
         .global("size_L2", links)
         // Memory inputs: 2x2 matrices whose entries depend on (L1, L2).
         .data("input_a", |args| {
-            Arc::new(vec![1.0, 0.0, 0.0, 1.0 + args[1] as f64])
+            Payload::from(vec![1.0, 0.0, 0.0, 1.0 + args[1] as f64])
         })
         .data("input_b", |args| {
-            Arc::new(vec![args[0] as f64 + 1.0, 0.5, 0.5, 1.0])
+            Payload::from(vec![args[0] as f64 + 1.0, 0.5, 0.5, 1.0])
         })
-        .body("dfill", |_k, _inputs| vec![Some(Arc::new(vec![0.0; 4]))])
+        .body("dfill", |_k, _inputs| {
+            vec![Some(Payload::from(vec![0.0; 4]))]
+        })
         .body("gemm", |_k, inputs| {
             let a = inputs[0].take().expect("A");
             let b = inputs[1].take().expect("B");
-            let mut c = (*inputs[2].take().expect("C")).clone();
+            let mut c = inputs[2].take().expect("C").to_vec();
             tensor_kernels::dgemm(
                 tensor_kernels::Trans::N,
                 tensor_kernels::Trans::N,
@@ -88,7 +90,7 @@ fn main() {
                 1.0,
                 &mut c,
             );
-            vec![None, None, Some(Arc::new(c))]
+            vec![None, None, Some(Payload::from(c))]
         })
         .body("sort", move |k, inputs| {
             let c = inputs[0].take().expect("C");

@@ -9,9 +9,10 @@ use tensor_kernels::rel_diff;
 
 const KERNELS: [Kernel; 2] = [Kernel::T2_7, Kernel::T2_2];
 
-/// Per-rank outcome: energies of v5 and v2 (rank 0 only) and the read
-/// accounting (GA remote get bytes, endpoint requested and wire bytes).
-type RankOut = (Option<f64>, Option<f64>, [u64; 3]);
+/// Per-rank outcome: energies of v5 and v2 (rank 0 only), the read
+/// accounting (GA remote get bytes, endpoint requested and wire bytes)
+/// and the GA shard clones that live operand views forced.
+type RankOut = (Option<f64>, Option<f64>, [u64; 4]);
 
 #[test]
 fn two_rank_loopback_matches_reference() {
@@ -28,9 +29,15 @@ fn two_rank_loopback_matches_reference() {
                     .run_variant_graph(&graph, v2, 2, StealConfig::default())
                     .energy;
                 let s = dr.endpoint().stats();
-                let ga = dr.workspace().ga.stats().remote_get_bytes();
+                let ga = dr.workspace().ga.stats();
+                let out = [
+                    ga.remote_get_bytes(),
+                    s.get_req_bytes,
+                    s.get_wire_bytes,
+                    ga.shard_clones(),
+                ];
                 dr.finish();
-                (v5, v2, [ga, s.get_req_bytes, s.get_wire_bytes])
+                (v5, v2, out)
             })
         })
         .collect();
@@ -49,9 +56,12 @@ fn two_rank_loopback_matches_reference() {
         out[1].0.is_none() && out[1].1.is_none(),
         "only rank 0 reports"
     );
-    for (rank, (_, _, [ga, req, wire])) in out.iter().enumerate() {
+    for (rank, (_, _, [ga, req, wire, clones])) in out.iter().enumerate() {
         assert!(*req > 0, "rank {rank}: remote reads must cross the wire");
         assert_eq!(ga, req, "rank {rank}: GA remote bytes == requested bytes");
         assert_eq!(req, wire, "rank {rank}: every requested byte was delivered");
+        // Readers view their own shards in place; no solve writes an
+        // array they view, so no write may have to clone a shard.
+        assert_eq!(*clones, 0, "rank {rank}: a write cloned a viewed shard");
     }
 }

@@ -4,7 +4,7 @@
 use ccsd::{build_graph, simulate_baseline, verify, BaselineCfg, VariantCfg};
 use parsec_rt::{NativeRuntime, SchedPolicy, SimEngine};
 use ptg::dsl::DslBuilder;
-use ptg::PlainCtx;
+use ptg::{Payload, PlainCtx};
 use std::sync::{Arc, Mutex};
 use tce::{inspect, scale, TileSpace};
 use tensor_kernels::rel_diff;
@@ -131,7 +131,7 @@ fn dsl_and_rust_graphs_agree() {
     .global("n", n)
     .body("acc", |k, inputs| {
         let prev = inputs[0].take().map(|p| p[0]).unwrap_or(0.0);
-        vec![Some(Arc::new(vec![prev + (k.params[0] + 1) as f64]))]
+        vec![Some(Payload::from(vec![prev + (k.params[0] + 1) as f64]))]
     })
     .body("done", move |_k, inputs| {
         *sink.lock().unwrap() = inputs[0].take().unwrap()[0];

@@ -60,7 +60,7 @@ impl TaskClass for FanIn {
         if key.params[0] == 0 {
             self.total
                 .fetch_add((key.params[1] + 1) as u64, Ordering::Relaxed);
-            vec![Some(Arc::new(vec![key.params[1] as f64]))]
+            vec![Some(Payload::from(vec![key.params[1] as f64]))]
         } else {
             vec![None]
         }
