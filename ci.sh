@@ -34,6 +34,11 @@ cargo fmt --check
 echo "==> bench smoke (kernels, quick mode)"
 cargo bench -q -p bench-harness --bench kernels -- --test
 
+echo "==> bench smoke (runtime, quick mode)"
+# The only whole-engine dispatch benchmark (native_engine/
+# dispatch_5k_tasks_2_threads); clippy compiles it, this runs it once.
+cargo bench -q -p bench-harness --bench runtime -- --test
+
 echo "==> bench smoke (chain_epilogue, quick mode)"
 cargo bench -q -p bench-harness --bench chain_epilogue -- --test
 

@@ -1,6 +1,6 @@
-//! Microbenchmarks of the runtime substrate: scheduler queues, the
-//! symbolic tracker, the event queue, the processor-sharing resource, and
-//! whole-engine task throughput.
+//! Microbenchmarks of the runtime substrate: scheduler queues, the event
+//! queue, the processor-sharing resource, and whole-engine task
+//! throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dcsim::{EventQueue, PsResource};

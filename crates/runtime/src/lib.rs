@@ -4,11 +4,12 @@
 //! engine and one simulator.
 //!
 //! * [`native::NativeRuntime`] — a real threaded executor for one
-//!   shared-memory node: per-worker work-stealing deques, sharded
-//!   dependency tracking and payload store ([`shard`]), an eventcount
-//!   idle gate, real task bodies. Used for correctness (the "matched to
-//!   the 14th digit" checks) and as the library a shared-memory user
-//!   would actually run.
+//!   shared-memory node: per-worker work-stealing deques, one sharded
+//!   frontier map holding each discovered task's missing-input count and
+//!   delivered inputs ([`shard::ShardMap`]), an eventcount idle gate,
+//!   real task bodies, and worker 0 on the calling thread. Used for
+//!   correctness (the "matched to the 14th digit" checks) and as the
+//!   library a shared-memory user would actually run.
 //! * [`simengine::SimEngine`] — a discrete-event executor that runs the
 //!   graph on a *modeled* cluster (nodes x cores, per-node NIC with FIFO
 //!   queueing, processor-shared memory bandwidth, a node-wide mutex for
@@ -17,7 +18,8 @@
 //!   advancing virtual time, so one run yields both numerics and timing.
 //!
 //! Both engines discover tasks symbolically through the PTG — the graph is
-//! never materialized (see [`tracker`]) — and share the scheduling policies
+//! never materialized (see [`tracker`] for the simulator's frontier and
+//! [`native`] for the native one) — and share the scheduling policies
 //! in [`sched`]: a max-priority queue with FIFO tie-breaking, which is what
 //! makes the paper's v2-vs-v4 priority experiment reproducible.
 

@@ -8,13 +8,19 @@
 //! workers steal — batched from the shared root [`Injector`], singly and
 //! in randomized victim order from peers. As in PaRSEC, "tasks do not
 //! migrate between threads after they have started executing": stealing
-//! moves only *ready* tasks, never running ones. Dependency counting and
-//! the `(task, flow) -> payload` store live in sharded tables
-//! ([`crate::shard`]), so two completions touching different tasks touch
-//! different locks; quiescence is one atomic counter. Idle workers park
-//! through an eventcount ([`crate::shard::IdleGate`]): a push is an
-//! epoch bump plus a wakeup only when somebody actually sleeps, instead
-//! of a condvar broadcast under a global mutex.
+//! moves only *ready* tasks, never running ones. Worker 0 is the thread
+//! that called [`NativeRuntime::run`]; only workers 1..N are spawned, so
+//! a 1-worker run starts no thread.
+//!
+//! Dependency counts and delivered inputs live together in one sharded
+//! frontier map ([`crate::shard::ShardMap`] from task to [`Slot`]):
+//! delivering an edge is one shard lock that stores the payload and
+//! counts the input, and running a task is one `remove` of its slot (none
+//! for a root). Two completions touching different tasks touch different
+//! locks; quiescence is one atomic counter. Idle workers park through an
+//! eventcount ([`crate::shard::IdleGate`]): a push is an epoch bump plus
+//! a wakeup only when somebody actually sleeps, instead of a condvar
+//! broadcast under a global mutex.
 //!
 //! The price of sharding is that a [`SchedPolicy`]'s ordering becomes a
 //! *local* discipline (each worker orders its own deque; steals are
@@ -24,10 +30,10 @@
 //! explicitly.
 
 use crate::sched::SchedPolicy;
-use crate::shard::{IdleGate, ShardMap, ShardedTracker};
+use crate::shard::{IdleGate, ShardMap};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::Mutex;
-use ptg::{Activity, Completion, CompletionSink, Payload, TaskGraph, TaskKey};
+use ptg::{Activity, Completion, CompletionSink, Dep, Payload, TaskGraph, TaskKey};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -179,14 +185,34 @@ impl CompletionSink for Completions {
     }
 }
 
+/// A discovered task's place in the frontier: the inputs it still waits
+/// for and the payloads delivered so far (indexed by flow; `None` for a
+/// flow that received no data). The slot is created by the task's first
+/// delivery and stays until the task runs, so a delivery beyond the
+/// declared count is caught even after the task became ready.
+struct Slot {
+    missing: usize,
+    inputs: Vec<Option<Payload>>,
+}
+
+/// A ready task as the deques carry it. A root (static or seeded by a
+/// [`WorkSource`]) has no frontier slot, so running it takes no lock.
+#[derive(Clone, Copy)]
+struct Ready {
+    key: TaskKey,
+    root: bool,
+}
+
 struct Shared<'g> {
     graph: &'g TaskGraph,
     policy: SchedPolicy,
     threads: usize,
-    tracker: ShardedTracker,
-    store: ShardMap<(TaskKey, u32), Payload>,
-    injector: Injector<TaskKey>,
-    stealers: Vec<Stealer<TaskKey>>,
+    frontier: ShardMap<TaskKey, Slot>,
+    /// Tasks discovered (roots, or delivered to at least once) and not
+    /// yet completed; the run is quiescent when it reaches zero.
+    live: AtomicU64,
+    injector: Injector<Ready>,
+    stealers: Vec<Stealer<Ready>>,
     gate: Arc<IdleGate>,
     completions: Arc<Completions>,
     source: Option<Arc<dyn WorkSource>>,
@@ -197,6 +223,108 @@ struct Shared<'g> {
     local_steals: AtomicU64,
     per_worker: Vec<AtomicU64>,
     t0: Instant,
+}
+
+impl<'g> Shared<'g> {
+    /// Dispatch state for one run of `graph` under `rt`, with no task
+    /// discovered yet; attaches `rt`'s source to the idle gate.
+    fn new(rt: &NativeRuntime, graph: &'g TaskGraph, stealers: Vec<Stealer<Ready>>) -> Self {
+        let gate = Arc::new(IdleGate::new());
+        if let Some(src) = &rt.source {
+            src.attach(gate.clone());
+        }
+        Self {
+            graph,
+            policy: rt.policy,
+            threads: rt.threads,
+            frontier: ShardMap::new((rt.threads * 4).clamp(8, 64)),
+            live: AtomicU64::new(0),
+            injector: Injector::new(),
+            stealers,
+            completions: Arc::new(Completions {
+                queues: (0..rt.threads).map(|_| Mutex::new(Vec::new())).collect(),
+                rr: AtomicU64::new(0),
+                queued: AtomicU64::new(0),
+                inflight: AtomicU64::new(0),
+                gate: gate.clone(),
+            }),
+            gate,
+            source: rt.source.clone(),
+            shutdown: AtomicBool::new(false),
+            idle: AtomicU64::new(0),
+            executed: AtomicU64::new(0),
+            external_tasks: AtomicU64::new(0),
+            local_steals: AtomicU64::new(0),
+            per_worker: (0..rt.threads).map(|_| AtomicU64::new(0)).collect(),
+            t0: rt.epoch.unwrap_or_else(Instant::now),
+        }
+    }
+
+    /// Deliver one edge into `dst`'s slot: store the payload (if any) and
+    /// count the input, under one shard lock. Returns true when this was
+    /// the last missing input. The first delivery discovers the task and
+    /// asks its class for the input count (under the lock, so concurrent
+    /// senders agree on who discovered it). Panics, naming the task, on a
+    /// delivery to a task that declares no inputs or has none missing.
+    fn deliver(&self, dst: TaskKey, flow: u32, payload: Option<Payload>) -> bool {
+        let graph = self.graph;
+        let mut shard = self.frontier.lock_shard(&dst);
+        let slot = shard.entry(dst).or_insert_with(|| {
+            let class = graph.class_of(dst);
+            let missing = class.num_inputs(dst, graph.ctx());
+            assert!(
+                missing > 0,
+                "task {} received an input but declares none",
+                graph.display(dst)
+            );
+            self.live.fetch_add(1, Ordering::SeqCst);
+            Slot {
+                missing,
+                inputs: vec![None; class.num_flows()],
+            }
+        });
+        assert!(
+            slot.missing > 0,
+            "over-delivery to {}: all its declared inputs already arrived",
+            graph.display(dst)
+        );
+        if payload.is_some() {
+            slot.inputs[flow as usize] = payload;
+        }
+        slot.missing -= 1;
+        slot.missing == 0
+    }
+
+    /// Inputs of a ready task: its slot's payloads (one `remove`), or
+    /// all-`None` for a root.
+    fn take_inputs(&self, task: Ready) -> Vec<Option<Payload>> {
+        if task.root {
+            return vec![None; self.graph.class_of(task.key).num_flows()];
+        }
+        self.frontier
+            .remove(&task.key)
+            .expect("a ready task has a frontier slot")
+            .inputs
+    }
+
+    /// Count one task discovered from outside the frontier (a root).
+    fn add_root(&self) {
+        self.live.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// Stops the run when a worker unwinds out of a panicking task body:
+/// without it the survivors park for good, because the all-idle scan
+/// never sees every worker idle. `run` then re-raises the panic.
+struct StopOnUnwind<'s, 'g>(&'s Shared<'g>);
+
+impl Drop for StopOnUnwind<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.shutdown.store(true, Ordering::SeqCst);
+            self.0.gate.notify_all();
+        }
+    }
 }
 
 impl NativeRuntime {
@@ -243,7 +371,7 @@ impl NativeRuntime {
     }
 
     /// Owner-pop discipline for a worker's deque under `policy`.
-    fn new_deque(policy: SchedPolicy) -> Worker<TaskKey> {
+    fn new_deque(policy: SchedPolicy) -> Worker<Ready> {
         match policy {
             SchedPolicy::PriorityFifo | SchedPolicy::Fifo => Worker::new_fifo(),
             SchedPolicy::PriorityLifo | SchedPolicy::Lifo | SchedPolicy::ChainAffinity => {
@@ -252,8 +380,10 @@ impl NativeRuntime {
         }
     }
 
-    /// Execute `graph` to quiescence. Panics if the graph deadlocks
-    /// (declared inputs that no task delivers).
+    /// Execute `graph` to quiescence on the calling thread (worker 0)
+    /// plus `threads - 1` spawned workers. Panics if the graph deadlocks
+    /// (declared inputs that no task delivers); a panic in a task body
+    /// stops every worker and is re-raised here.
     pub fn run(&self, graph: &TaskGraph) -> NativeReport {
         let ctx = graph.ctx();
         let mut roots: Vec<(TaskKey, i64)> = graph
@@ -271,68 +401,41 @@ impl NativeRuntime {
             SchedPolicy::Lifo => roots.reverse(),
         }
 
-        let shards = (self.threads * 4).clamp(8, 64);
-        let tracker = ShardedTracker::new(shards);
-        let injector = Injector::new();
-        for &(r, _) in &roots {
-            tracker.add_root(r);
-            injector.push(r);
-        }
-        let locals: Vec<Worker<TaskKey>> = (0..self.threads)
+        let locals: Vec<Worker<Ready>> = (0..self.threads)
             .map(|_| Self::new_deque(self.policy))
             .collect();
-        let stealers: Vec<Stealer<TaskKey>> = locals.iter().map(|w| w.stealer()).collect();
-        let gate = Arc::new(IdleGate::new());
-        if let Some(src) = &self.source {
-            src.attach(gate.clone());
+        let shared = Shared::new(self, graph, locals.iter().map(|w| w.stealer()).collect());
+        for &(key, _) in &roots {
+            shared.add_root();
+            shared.injector.push(Ready { key, root: true });
         }
-        let shared = Shared {
-            graph,
-            policy: self.policy,
-            threads: self.threads,
-            tracker,
-            store: ShardMap::new(shards),
-            injector,
-            stealers,
-            completions: Arc::new(Completions {
-                queues: (0..self.threads).map(|_| Mutex::new(Vec::new())).collect(),
-                rr: AtomicU64::new(0),
-                queued: AtomicU64::new(0),
-                inflight: AtomicU64::new(0),
-                gate: gate.clone(),
-            }),
-            gate,
-            source: self.source.clone(),
-            shutdown: AtomicBool::new(roots.is_empty() && self.source.is_none()),
-            idle: AtomicU64::new(0),
-            executed: AtomicU64::new(0),
-            external_tasks: AtomicU64::new(0),
-            local_steals: AtomicU64::new(0),
-            per_worker: (0..self.threads).map(|_| AtomicU64::new(0)).collect(),
-            t0: self.epoch.unwrap_or_else(Instant::now),
-        };
+        if roots.is_empty() && self.source.is_none() {
+            shared.shutdown.store(true, Ordering::SeqCst);
+        }
 
         let run_start = Instant::now();
         let span_sets: Vec<Vec<(u32, u64, u64)>> = std::thread::scope(|scope| {
+            let mut locals = locals.into_iter();
+            let first = locals.next().expect("at least one worker");
             let handles: Vec<_> = locals
-                .into_iter()
                 .enumerate()
                 .map(|(i, local)| {
                     let shared = &shared;
-                    scope.spawn(move || worker(shared, local, i))
+                    scope.spawn(move || worker(shared, local, i + 1))
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
+            let mut sets = vec![worker(&shared, first, 0)];
+            for h in handles {
+                sets.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+            }
+            sets
         });
 
         let wall = run_start.elapsed();
         assert!(
-            shared.tracker.is_quiescent(),
+            shared.live.load(Ordering::SeqCst) == 0,
             "deadlock: {} task(s) still waiting for inputs",
-            shared.tracker.starved()
+            shared.frontier.len()
         );
         let mut report = build_report(
             graph,
@@ -369,10 +472,10 @@ fn next_rand(state: &mut u64) -> u64 {
 /// round).
 fn find_task(
     shared: &Shared<'_>,
-    local: &Worker<TaskKey>,
+    local: &Worker<Ready>,
     index: usize,
     rng: &mut u64,
-) -> Option<TaskKey> {
+) -> Option<Ready> {
     if let Some(k) = local.pop() {
         return Some(k);
     }
@@ -422,41 +525,44 @@ fn queues_empty(shared: &Shared<'_>) -> bool {
     shared.injector.is_empty() && shared.stealers.iter().all(|s| s.is_empty())
 }
 
-/// One worker: find a task (own deque / injector / steal), execute it,
-/// release successors into the own deque; park through the idle gate when
-/// no work is visible. Records spans.
-fn worker(shared: &Shared<'_>, local: Worker<TaskKey>, index: usize) -> Vec<(u32, u64, u64)> {
-    let mut spans = Vec::new();
-    let mut deps = Vec::new();
-    let mut ready: Vec<(TaskKey, i64)> = Vec::new();
-    let mut last_chain: Option<i64> = None;
+/// One worker's buffers, reused from task to task.
+#[derive(Default)]
+struct Scratch {
+    /// Executed spans `(class, begin_ns, end_ns)`: the worker's result.
+    spans: Vec<(u32, u64, u64)>,
+    deps: Vec<Dep>,
+    /// Per output flow: edges still to deliver in the current settle.
+    uses: Vec<u32>,
+    ready: Vec<(TaskKey, i64)>,
+    last_chain: Option<i64>,
+}
+
+/// One worker: settle deferred completions, find a task (own deque /
+/// injector / steal) and execute it, releasing successors into the own
+/// deque; park through the idle gate when no work is visible. Returns the
+/// recorded spans.
+fn worker(shared: &Shared<'_>, local: Worker<Ready>, index: usize) -> Vec<(u32, u64, u64)> {
+    let _stop = StopOnUnwind(shared);
+    let mut s = Scratch::default();
     let mut rng: u64 = 0x9e37_79b9_7f4a_7c15_u64.wrapping_mul(index as u64 + 1) | 1;
+    let mut step = |s: &mut Scratch| {
+        if drain_completions(shared, &local, index, s) {
+            return true;
+        }
+        match find_task(shared, &local, index, &mut rng) {
+            Some(task) => {
+                run_task(shared, &local, index, task, s);
+                true
+            }
+            None => false,
+        }
+    };
 
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
-            return spans;
+            return s.spans;
         }
-        if drain_completions(
-            shared,
-            &local,
-            index,
-            &mut deps,
-            &mut ready,
-            &mut last_chain,
-        ) {
-            continue;
-        }
-        if let Some(key) = find_task(shared, &local, index, &mut rng) {
-            run_task(
-                shared,
-                &local,
-                index,
-                key,
-                &mut spans,
-                &mut deps,
-                &mut ready,
-                &mut last_chain,
-            );
+        if step(&mut s) {
             continue;
         }
 
@@ -465,29 +571,9 @@ fn worker(shared: &Shared<'_>, local: Worker<TaskKey>, index: usize) -> Vec<(u32
         // the epoch and wait() returns immediately (no lost wakeup).
         let ticket = shared.gate.prepare();
         if shared.shutdown.load(Ordering::SeqCst) {
-            return spans;
+            return s.spans;
         }
-        if drain_completions(
-            shared,
-            &local,
-            index,
-            &mut deps,
-            &mut ready,
-            &mut last_chain,
-        ) {
-            continue;
-        }
-        if let Some(key) = find_task(shared, &local, index, &mut rng) {
-            run_task(
-                shared,
-                &local,
-                index,
-                key,
-                &mut spans,
-                &mut deps,
-                &mut ready,
-                &mut last_chain,
-            );
+        if step(&mut s) {
             continue;
         }
         // Every deque is dry: ask the external source (if any) before
@@ -511,10 +597,17 @@ fn worker(shared: &Shared<'_>, local: Worker<TaskKey>, index: usize) -> Vec<(u32
         if idle_now as usize == shared.threads && src_empty && queues_empty(shared) {
             // `idle` must reach `threads` before `completions.idle()` is
             // read: only with every worker parked is the counter pair
-            // conclusive (nothing can re-raise `inflight`).
-            let quiescent = shared.tracker.is_quiescent();
+            // conclusive (nothing can re-raise `inflight`). A worker that
+            // was woken but has not yet left the idle count can still
+            // drain a completion that arrived after our re-check, so the
+            // verdict also needs the gate's epoch unmoved since `ticket`:
+            // every arrival and every push advances it.
+            let quiescent = shared.live.load(Ordering::SeqCst) == 0;
             let finished = shared.source.is_some() && quiescent;
-            if (finished || !quiescent) && shared.completions.idle() {
+            if (finished || !quiescent)
+                && shared.completions.idle()
+                && shared.gate.unchanged_since(ticket)
+            {
                 // Source-fed run fully drained (finished), or every
                 // worker is idle with empty queues and live tasks that
                 // can never receive inputs (deadlock — the post-run
@@ -522,7 +615,7 @@ fn worker(shared: &Shared<'_>, local: Worker<TaskKey>, index: usize) -> Vec<(u32
                 shared.shutdown.store(true, Ordering::SeqCst);
                 shared.gate.notify_all();
                 shared.idle.fetch_sub(1, Ordering::SeqCst);
-                return spans;
+                return s.spans;
             }
         }
         shared.gate.wait(ticket);
@@ -533,7 +626,7 @@ fn worker(shared: &Shared<'_>, local: Worker<TaskKey>, index: usize) -> Vec<(u32
 /// Seed externally-sourced tasks (chain roots claimed from the ledger or
 /// stolen from another rank) into this worker's deque, ordered for the
 /// deque's pop end like [`settle`] orders released successors.
-fn seed_external(shared: &Shared<'_>, local: &Worker<TaskKey>, keys: Vec<TaskKey>) {
+fn seed_external(shared: &Shared<'_>, local: &Worker<Ready>, keys: Vec<TaskKey>) {
     let graph = shared.graph;
     let ctx = graph.ctx();
     shared
@@ -549,9 +642,9 @@ fn seed_external(shared: &Shared<'_>, local: &Worker<TaskKey>, keys: Vec<TaskKey
         SchedPolicy::Fifo => {}
         SchedPolicy::Lifo => seeded.reverse(),
     }
-    for &(k, _) in seeded.iter() {
-        shared.tracker.add_root(k);
-        local.push(k);
+    for &(key, _) in seeded.iter() {
+        shared.add_root();
+        local.push(Ready { key, root: true });
     }
     shared.gate.notify_all();
 }
@@ -561,11 +654,9 @@ fn seed_external(shared: &Shared<'_>, local: &Worker<TaskKey>, keys: Vec<TaskKey
 /// anything was settled.
 fn drain_completions(
     shared: &Shared<'_>,
-    local: &Worker<TaskKey>,
+    local: &Worker<Ready>,
     index: usize,
-    deps: &mut Vec<ptg::Dep>,
-    ready: &mut Vec<(TaskKey, i64)>,
-    last_chain: &mut Option<i64>,
+    s: &mut Scratch,
 ) -> bool {
     // Own mailbox first (successors land in the own deque), then scan the
     // others so no completion waits on a busy worker.
@@ -586,7 +677,7 @@ fn drain_completions(
         }
         q.queued.fetch_sub(batch.len() as u64, Ordering::SeqCst);
         for (key, outputs) in batch {
-            settle(shared, local, key, outputs, deps, ready, last_chain);
+            settle(shared, local, key, outputs, s);
         }
         return true;
     }
@@ -596,27 +687,18 @@ fn drain_completions(
 /// Execute one task and release its successors. Tasks whose class defers
 /// (execute_async returns `None`) are settled later from the completion
 /// queue; only the posting time appears as this worker's span.
-#[allow(clippy::too_many_arguments)]
 fn run_task(
     shared: &Shared<'_>,
-    local: &Worker<TaskKey>,
+    local: &Worker<Ready>,
     index: usize,
-    key: TaskKey,
-    spans: &mut Vec<(u32, u64, u64)>,
-    deps: &mut Vec<ptg::Dep>,
-    ready: &mut Vec<(TaskKey, i64)>,
-    last_chain: &mut Option<i64>,
+    task: Ready,
+    s: &mut Scratch,
 ) {
     let graph = shared.graph;
-    let ctx = graph.ctx();
+    let key = task.key;
     let class = graph.class_of(key);
     shared.per_worker[index].fetch_add(1, Ordering::Relaxed);
-
-    // Gather inputs (each flow hits only its own store shard).
-    let nflows = class.num_flows();
-    let mut inputs: Vec<Option<Payload>> = (0..nflows as u32)
-        .map(|f| shared.store.remove(&(key, f)))
-        .collect();
+    let mut inputs = shared.take_inputs(task);
 
     // Count the task in flight *before* the body runs: a deferring body
     // hands its completion to another thread, which may finish before we
@@ -627,34 +709,34 @@ fn run_task(
 
     // Execute the body (no lock anywhere near this).
     let b = shared.t0.elapsed().as_nanos() as u64;
-    let result = class.execute_async(key, ctx, &mut inputs, done);
+    let result = class.execute_async(key, graph.ctx(), &mut inputs, done);
     let e = shared.t0.elapsed().as_nanos() as u64;
-    spans.push((key.class, b, e));
+    s.spans.push((key.class, b, e));
 
     let Some(outputs) = result else {
         // Deferred: the completion owner settles it via the queue.
         return;
     };
     shared.completions.inflight.fetch_sub(1, Ordering::SeqCst);
-    settle(shared, local, key, outputs, deps, ready, last_chain);
+    // Inputs the body left in place must not keep an output shared.
+    drop(inputs);
+    settle(shared, local, key, outputs, s);
 }
 
-/// Post-execution bookkeeping: store outputs, deliver dependencies,
-/// publish newly-ready tasks in policy order, count the task, detect
-/// quiescence. Shared by the synchronous path and the completion drain.
+/// Post-execution bookkeeping: deliver outputs to successors, publish
+/// newly-ready tasks in policy order, count the task, detect quiescence.
+/// Shared by the synchronous path and the completion drain.
 fn settle(
     shared: &Shared<'_>,
-    local: &Worker<TaskKey>,
+    local: &Worker<Ready>,
     key: TaskKey,
-    outputs: Vec<Option<Payload>>,
-    deps: &mut Vec<ptg::Dep>,
-    ready: &mut Vec<(TaskKey, i64)>,
-    last_chain: &mut Option<i64>,
+    mut outputs: Vec<Option<Payload>>,
+    s: &mut Scratch,
 ) {
     let graph = shared.graph;
     let ctx = graph.ctx();
     let class = graph.class_of(key);
-    *last_chain = Some(key.params[0]);
+    s.last_chain = Some(key.params[0]);
     assert_eq!(
         outputs.len(),
         class.num_flows(),
@@ -662,53 +744,59 @@ fn settle(
         graph.display(key)
     );
 
-    // Release successors. Payload inserts precede every deliver that
-    // could publish readiness, so a thief that later pops the successor
-    // finds its inputs (visibility chains through the shard locks). The
-    // producer's own output references are dropped before the deliver
-    // loop: once a successor can run, the store entries are the only
-    // remaining references, so a single-consumer payload is uniquely
-    // held by the time its consumer takes it and can be reused in place
-    // instead of copy-on-write cloned.
-    deps.clear();
-    ready.clear();
-    class.successors(key, ctx, deps);
-    for d in deps.iter() {
-        if let Some(p) = &outputs[d.src_flow as usize] {
-            shared.store.insert((d.dst, d.dst_flow), p.clone());
+    // Release successors. Each edge is one frontier delivery. A flow's
+    // last edge moves the payload instead of cloning it, so a
+    // single-consumer output reaches its consumer uniquely held and can
+    // be reused in place instead of copy-on-write cloned. Newly ready
+    // tasks are published only after the loop, so no consumer of this
+    // task can run while it still holds a clone.
+    s.deps.clear();
+    s.ready.clear();
+    class.successors(key, ctx, &mut s.deps);
+    s.uses.clear();
+    s.uses.resize(outputs.len(), 0);
+    for d in &s.deps {
+        s.uses[d.src_flow as usize] += 1;
+    }
+    for d in &s.deps {
+        let f = d.src_flow as usize;
+        s.uses[f] -= 1;
+        let payload = if s.uses[f] == 0 {
+            outputs[f].take()
+        } else {
+            outputs[f].clone()
+        };
+        if shared.deliver(d.dst, d.dst_flow, payload) {
+            let prio = graph.class_of(d.dst).priority(d.dst, ctx);
+            s.ready.push((d.dst, prio));
         }
     }
     drop(outputs);
-    for d in deps.iter() {
-        if let Some(now_ready) = shared.tracker.deliver(graph, d.dst) {
-            let prio = graph.class_of(now_ready).priority(now_ready, ctx);
-            ready.push((now_ready, prio));
-        }
-    }
 
     // Order the batch for the local deque's pop end, then publish. The
     // policy is approximate across workers (steals are oldest-first) but
     // exact within the batch.
     match shared.policy {
         // FIFO deque pops oldest-first: push best first.
-        SchedPolicy::PriorityFifo => ready.sort_by_key(|&(_, p)| std::cmp::Reverse(p)),
+        SchedPolicy::PriorityFifo => s.ready.sort_by_key(|&(_, p)| std::cmp::Reverse(p)),
         // LIFO deque pops newest-first: push best last.
-        SchedPolicy::PriorityLifo => ready.sort_by_key(|&(_, p)| p),
+        SchedPolicy::PriorityLifo => s.ready.sort_by_key(|&(_, p)| p),
         SchedPolicy::Fifo | SchedPolicy::Lifo => {}
         // Same-chain tasks (hot C tile) last, highest priority among them
         // very last, so the owner pops them first.
         SchedPolicy::ChainAffinity => {
-            let chain = *last_chain;
-            ready.sort_by_key(|&(k, p)| (chain == Some(k.params[0]), p));
+            let chain = s.last_chain;
+            s.ready
+                .sort_by_key(|&(k, p)| (chain == Some(k.params[0]), p));
         }
     }
-    for &(k, _) in ready.iter() {
-        local.push(k);
+    for &(key, _) in s.ready.iter() {
+        local.push(Ready { key, root: false });
         shared.gate.notify_one();
     }
 
     shared.executed.fetch_add(1, Ordering::SeqCst);
-    if shared.tracker.complete(key) {
+    if shared.live.fetch_sub(1, Ordering::SeqCst) == 1 {
         // This completion reached quiescence; exactly one worker sees it
         // (per quiescent episode — an external source can re-seed roots).
         if shared.source.is_none() {
@@ -835,7 +923,7 @@ mod tests {
 
     /// Leaves defer their execution to a helper thread (as readers defer
     /// to the comm layer); the sink must feed completions back into the
-    /// dependency tracker and the run must still quiesce.
+    /// engine's frontier and the run must still quiesce.
     struct AsyncReduce {
         n: i64,
         total: Arc<AtomicU64>,
@@ -900,7 +988,7 @@ mod tests {
     }
 
     #[test]
-    fn deferred_completions_feed_the_tracker() {
+    fn deferred_completions_feed_the_frontier() {
         let total = Arc::new(AtomicU64::new(0));
         let g = TaskGraph::new(
             vec![Arc::new(AsyncReduce {
@@ -1048,5 +1136,462 @@ mod tests {
         assert_eq!(rep.steal.per_worker_tasks.iter().sum::<u64>(), rep.tasks);
         // Leaves contribute 0 + 1 + ... + (n - 1).
         assert_eq!(total.load(Ordering::Relaxed), (n * (n - 1) / 2) as u64);
+    }
+
+    /// Run `graph` on `threads` workers on a helper thread and wait at
+    /// most 10 s for it: the task count, or the panic message the run
+    /// re-raised. A run that neither returns nor panics fails the test.
+    fn run_with_deadline(graph: Arc<TaskGraph>, threads: usize) -> Result<u64, String> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                NativeRuntime::new(threads).run(&graph).tasks
+            }));
+            let _ = tx.send(run.map_err(|e| {
+                e.downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default()
+            }));
+        });
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("run on {threads} worker(s) hung"));
+        runner.join().expect("the runner catches the run's panic");
+        outcome
+    }
+
+    /// 64 independent roots; the body of root 17 panics.
+    struct Boom;
+    impl ptg::TaskClass for Boom {
+        fn name(&self) -> &str {
+            "BOOM"
+        }
+        fn num_flows(&self) -> usize {
+            1
+        }
+        fn roots(&self, _ctx: &dyn GraphCtx, out: &mut Vec<TaskKey>) {
+            for i in 0..64 {
+                out.push(TaskKey::new(0, &[i]));
+            }
+        }
+        fn num_inputs(&self, _key: TaskKey, _ctx: &dyn GraphCtx) -> usize {
+            0
+        }
+        fn successors(&self, _key: TaskKey, _ctx: &dyn GraphCtx, _out: &mut Vec<Dep>) {}
+        fn execute(
+            &self,
+            key: TaskKey,
+            _ctx: &dyn GraphCtx,
+            _inputs: &mut [Option<Payload>],
+        ) -> Vec<Option<Payload>> {
+            assert_ne!(key.params[0], 17, "task body failed");
+            vec![None]
+        }
+    }
+
+    #[test]
+    fn a_panicking_body_stops_the_run_and_is_reraised() {
+        let g = Arc::new(TaskGraph::new(
+            vec![Arc::new(Boom)],
+            Arc::new(PlainCtx { nodes: 1 }),
+        ));
+        for threads in [1, 2, 4] {
+            let err = run_with_deadline(g.clone(), threads).expect_err("the run must panic");
+            assert!(
+                err.contains("task body failed"),
+                "{threads} worker(s): {err}"
+            );
+        }
+    }
+
+    /// Source-fed leaves defer their completion to a helper thread (as
+    /// readers defer to the comm thread); one sink collects them all.
+    struct Deferred {
+        n: i64,
+        to_helper: std::sync::mpsc::Sender<Completion>,
+    }
+    impl ptg::TaskClass for Deferred {
+        fn name(&self) -> &str {
+            "DEFERRED"
+        }
+        fn num_flows(&self) -> usize {
+            1
+        }
+        fn roots(&self, _ctx: &dyn GraphCtx, _out: &mut Vec<TaskKey>) {}
+        fn num_inputs(&self, key: TaskKey, _ctx: &dyn GraphCtx) -> usize {
+            if key.params[0] == 0 {
+                0
+            } else {
+                self.n as usize
+            }
+        }
+        fn successors(&self, key: TaskKey, _ctx: &dyn GraphCtx, out: &mut Vec<Dep>) {
+            if key.params[0] == 0 {
+                out.push(Dep {
+                    src_flow: 0,
+                    dst: TaskKey::new(0, &[1, 0]),
+                    dst_flow: 0,
+                });
+            }
+        }
+        fn execute(
+            &self,
+            key: TaskKey,
+            _ctx: &dyn GraphCtx,
+            _inputs: &mut [Option<Payload>],
+        ) -> Vec<Option<Payload>> {
+            assert_eq!(key.params[0], 1, "only the sink runs synchronously");
+            vec![None]
+        }
+        fn execute_async(
+            &self,
+            key: TaskKey,
+            ctx: &dyn GraphCtx,
+            inputs: &mut [Option<Payload>],
+            done: Completion,
+        ) -> Option<Vec<Option<Payload>>> {
+            if key.params[0] != 0 {
+                return Some(self.execute(key, ctx, inputs));
+            }
+            self.to_helper.send(done).expect("helper alive");
+            None
+        }
+    }
+
+    /// Termination under deferred completions: every run must end
+    /// quiescent (the engine asserts it) with the exact task count. A
+    /// helper thread finishes the leaves while the workers are parked:
+    /// on even runs it holds all of them, pauses, and finishes them back
+    /// to back; on odd runs it finishes them one at a time, pausing
+    /// before some. 8 workers oversubscribe the cores, so workers are
+    /// preempted mid-scan; that is how a worker woken by one completion
+    /// could drain the last one between another worker's all-idle count
+    /// and its read of the completion counters, and end the run early.
+    #[test]
+    fn source_fed_runs_terminate_exactly_under_deferred_completions() {
+        const RUNS: usize = 2000;
+        let n = 8i64;
+        let pause = std::time::Duration::from_micros(20);
+        for threads in [1, 2, 4, 8] {
+            for run in 0..RUNS {
+                let (to_helper, from_engine) = std::sync::mpsc::channel::<Completion>();
+                let helper = std::thread::spawn(move || {
+                    let finish = |done: Completion| {
+                        let i = done.key().params[1];
+                        done.finish(vec![Some(Payload::from(vec![i as f64]))]);
+                    };
+                    if run % 2 == 0 {
+                        let held: Vec<Completion> = from_engine.iter().take(n as usize).collect();
+                        std::thread::sleep(pause);
+                        held.into_iter().for_each(finish);
+                    } else {
+                        for (j, done) in from_engine.iter().enumerate() {
+                            if j % 3 == 0 {
+                                std::thread::sleep(pause);
+                            }
+                            finish(done);
+                        }
+                    }
+                });
+                let keys: Vec<TaskKey> = (0..n).map(|i| TaskKey::new(0, &[0, i])).collect();
+                let source = Arc::new(DripSource {
+                    batches: Mutex::new(keys.chunks(2).map(<[TaskKey]>::to_vec).collect()),
+                    late: Mutex::new(None),
+                    late_done: AtomicBool::new(true),
+                    gate: Mutex::new(None),
+                });
+                let g = TaskGraph::new(
+                    vec![Arc::new(Deferred { n, to_helper })],
+                    Arc::new(PlainCtx { nodes: 1 }),
+                );
+                let rep = NativeRuntime::new(threads).source(source).run(&g);
+                drop(g);
+                helper.join().unwrap();
+                assert_eq!(rep.tasks, n as u64 + 1, "{threads} worker(s), run {run}");
+                assert_eq!(rep.steal.external_tasks, n as u64);
+            }
+        }
+    }
+
+    /// HANDOFF(0) is a root with two output flows: flow 0 feeds HANDOFF(1)
+    /// and HANDOFF(2), flow 1 feeds only HANDOFF(3). Each consumer records
+    /// the address of the buffer it received and whether it held it alone.
+    #[derive(Default)]
+    struct Handoff {
+        seen: Mutex<Vec<(i64, usize, bool)>>,
+    }
+    impl ptg::TaskClass for Handoff {
+        fn name(&self) -> &str {
+            "HANDOFF"
+        }
+        fn num_flows(&self) -> usize {
+            2
+        }
+        fn roots(&self, _ctx: &dyn GraphCtx, out: &mut Vec<TaskKey>) {
+            out.push(TaskKey::new(0, &[0]));
+        }
+        fn num_inputs(&self, key: TaskKey, _ctx: &dyn GraphCtx) -> usize {
+            usize::from(key.params[0] != 0)
+        }
+        fn successors(&self, key: TaskKey, _ctx: &dyn GraphCtx, out: &mut Vec<Dep>) {
+            if key.params[0] == 0 {
+                for (src_flow, dst) in [(0, 1), (0, 2), (1, 3)] {
+                    out.push(Dep {
+                        src_flow,
+                        dst: TaskKey::new(0, &[dst]),
+                        dst_flow: 0,
+                    });
+                }
+            }
+        }
+        fn execute(
+            &self,
+            key: TaskKey,
+            _ctx: &dyn GraphCtx,
+            inputs: &mut [Option<Payload>],
+        ) -> Vec<Option<Payload>> {
+            if key.params[0] == 0 {
+                return vec![
+                    Some(Payload::from(vec![1.0; 16])),
+                    Some(Payload::from(vec![2.0; 16])),
+                ];
+            }
+            let p = inputs[0].take().expect("input delivered");
+            let addr = p.as_ptr() as usize;
+            let alone = p.into_vec().is_ok();
+            self.seen.lock().push((key.params[0], addr, alone));
+            vec![None, None]
+        }
+    }
+
+    #[test]
+    fn frontier_moves_single_consumer_outputs_and_shares_fanned_out_ones() {
+        for threads in [1, 2] {
+            let class = Arc::new(Handoff::default());
+            let g = TaskGraph::new(vec![class.clone()], Arc::new(PlainCtx { nodes: 1 }));
+            assert_eq!(NativeRuntime::new(threads).run(&g).tasks, 4);
+            let mut seen = class.seen.lock().clone();
+            seen.sort_unstable();
+            let [(1, a1, _), (2, a2, _), (3, _, alone3)] = seen[..] else {
+                panic!("unexpected consumers: {seen:?}");
+            };
+            // Flow 0's two successors got one buffer, not two copies.
+            assert_eq!(a1, a2, "{threads} worker(s)");
+            // Flow 1's only successor holds its buffer alone (strong
+            // count 1), so it may take the memory over in place.
+            assert!(
+                alone3,
+                "{threads} worker(s): single-consumer payload arrived shared"
+            );
+        }
+    }
+
+    /// OVER(0) sends two edges to OVER(1), which declares one input.
+    struct Over;
+    impl ptg::TaskClass for Over {
+        fn name(&self) -> &str {
+            "OVER"
+        }
+        fn num_flows(&self) -> usize {
+            1
+        }
+        fn roots(&self, _ctx: &dyn GraphCtx, out: &mut Vec<TaskKey>) {
+            out.push(TaskKey::new(0, &[0]));
+        }
+        fn num_inputs(&self, key: TaskKey, _ctx: &dyn GraphCtx) -> usize {
+            usize::from(key.params[0] != 0)
+        }
+        fn successors(&self, key: TaskKey, _ctx: &dyn GraphCtx, out: &mut Vec<Dep>) {
+            if key.params[0] == 0 {
+                for _ in 0..2 {
+                    out.push(Dep {
+                        src_flow: 0,
+                        dst: TaskKey::new(0, &[1]),
+                        dst_flow: 0,
+                    });
+                }
+            }
+        }
+        fn execute(
+            &self,
+            _key: TaskKey,
+            _ctx: &dyn GraphCtx,
+            _inputs: &mut [Option<Payload>],
+        ) -> Vec<Option<Payload>> {
+            vec![Some(Payload::from(vec![0.0]))]
+        }
+    }
+
+    #[test]
+    fn over_delivery_panics_and_names_the_task() {
+        let g = Arc::new(TaskGraph::new(
+            vec![Arc::new(Over)],
+            Arc::new(PlainCtx { nodes: 1 }),
+        ));
+        for threads in [1, 2] {
+            let err = run_with_deadline(g.clone(), threads).expect_err("over-delivery must panic");
+            assert!(
+                err.contains("over-delivery to OVER(1, 0, 0, 0)"),
+                "{threads} worker(s): {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_deliveries_count_exactly() {
+        // 8 threads deliver 100 edges each into a task declaring 800
+        // inputs: exactly one delivery makes it ready, the task is
+        // discovered once, and its slot holds the delivered payload.
+        struct FanIn;
+        impl ptg::TaskClass for FanIn {
+            fn name(&self) -> &str {
+                "F"
+            }
+            fn num_flows(&self) -> usize {
+                1
+            }
+            fn roots(&self, _ctx: &dyn GraphCtx, _out: &mut Vec<TaskKey>) {}
+            fn num_inputs(&self, _key: TaskKey, _ctx: &dyn GraphCtx) -> usize {
+                800
+            }
+            fn successors(&self, _key: TaskKey, _ctx: &dyn GraphCtx, _out: &mut Vec<Dep>) {}
+            fn execute(
+                &self,
+                _key: TaskKey,
+                _ctx: &dyn GraphCtx,
+                _inputs: &mut [Option<Payload>],
+            ) -> Vec<Option<Payload>> {
+                vec![None]
+            }
+        }
+
+        let g = TaskGraph::new(vec![Arc::new(FanIn)], Arc::new(PlainCtx { nodes: 1 }));
+        let shared = Shared::new(&NativeRuntime::new(8), &g, Vec::new());
+        let dst = TaskKey::new(0, &[0]);
+        let ready = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for _ in 0..100 {
+                        if shared.deliver(dst, 0, Some(Payload::from(vec![1.0]))) {
+                            ready.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(ready.load(Ordering::SeqCst), 1);
+        assert_eq!(shared.live.load(Ordering::SeqCst), 1);
+        assert_eq!(shared.frontier.len(), 1);
+        let inputs = shared.take_inputs(Ready {
+            key: dst,
+            root: false,
+        });
+        assert_eq!(inputs[0].as_deref(), Some(&[1.0][..]));
+        assert!(shared.frontier.is_empty());
+    }
+
+    /// Spin until `flag` is set; false after 5 s.
+    fn wait_for(flag: &AtomicBool) -> bool {
+        let t0 = Instant::now();
+        while !flag.load(Ordering::SeqCst) {
+            if t0.elapsed() > std::time::Duration::from_secs(5) {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    /// RACE(0) sends flow 0 to RACE(2), then flow 1 to RACE(3). RACE(1)
+    /// sends the other input of RACE(2). RACE(3)'s priority, asked while
+    /// RACE(0) is still in its delivery loop, holds that loop until
+    /// RACE(2) has run; RACE(1)'s body waits for that moment, so RACE(2)
+    /// becomes ready on the other worker while its producer still
+    /// settles.
+    #[derive(Default)]
+    struct Race {
+        producer_settling: AtomicBool,
+        consumer_ran: AtomicBool,
+        timed_out: AtomicBool,
+        consumer_alone: AtomicBool,
+    }
+    impl ptg::TaskClass for Race {
+        fn name(&self) -> &str {
+            "RACE"
+        }
+        fn num_flows(&self) -> usize {
+            2
+        }
+        fn roots(&self, _ctx: &dyn GraphCtx, out: &mut Vec<TaskKey>) {
+            out.push(TaskKey::new(0, &[0]));
+            out.push(TaskKey::new(0, &[1]));
+        }
+        fn num_inputs(&self, key: TaskKey, _ctx: &dyn GraphCtx) -> usize {
+            [0, 0, 2, 1][key.params[0] as usize]
+        }
+        fn successors(&self, key: TaskKey, _ctx: &dyn GraphCtx, out: &mut Vec<Dep>) {
+            let dep = |src_flow, dst, dst_flow| Dep {
+                src_flow,
+                dst: TaskKey::new(0, &[dst]),
+                dst_flow,
+            };
+            match key.params[0] {
+                0 => out.extend([dep(0, 2, 0), dep(1, 3, 0)]),
+                1 => out.push(dep(0, 2, 1)),
+                _ => {}
+            }
+        }
+        fn priority(&self, key: TaskKey, _ctx: &dyn GraphCtx) -> i64 {
+            if key.params[0] == 3 {
+                self.producer_settling.store(true, Ordering::SeqCst);
+                if !wait_for(&self.consumer_ran) {
+                    self.timed_out.store(true, Ordering::SeqCst);
+                }
+            }
+            0
+        }
+        fn execute(
+            &self,
+            key: TaskKey,
+            _ctx: &dyn GraphCtx,
+            inputs: &mut [Option<Payload>],
+        ) -> Vec<Option<Payload>> {
+            match key.params[0] {
+                0 => vec![
+                    Some(Payload::from(vec![1.0; 16])),
+                    Some(Payload::from(vec![2.0])),
+                ],
+                1 => {
+                    if !wait_for(&self.producer_settling) {
+                        self.timed_out.store(true, Ordering::SeqCst);
+                    }
+                    vec![Some(Payload::from(vec![3.0])), None]
+                }
+                2 => {
+                    let p = inputs[0].take().expect("RACE(0)'s flow 0");
+                    let alone = p.into_vec().is_ok();
+                    self.consumer_alone.store(alone, Ordering::SeqCst);
+                    self.consumer_ran.store(true, Ordering::SeqCst);
+                    vec![None, None]
+                }
+                _ => vec![None, None],
+            }
+        }
+    }
+
+    #[test]
+    fn a_consumer_holds_its_input_alone_while_the_producer_still_settles() {
+        let class = Arc::new(Race::default());
+        let g = TaskGraph::new(vec![class.clone()], Arc::new(PlainCtx { nodes: 1 }));
+        assert_eq!(NativeRuntime::new(2).run(&g).tasks, 4);
+        assert!(
+            !class.timed_out.load(Ordering::SeqCst),
+            "the interleaving was not reached"
+        );
+        // The producer moved its single-consumer output into the slot, so
+        // it keeps no reference while the consumer runs.
+        assert!(class.consumer_alone.load(Ordering::SeqCst));
     }
 }

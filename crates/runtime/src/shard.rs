@@ -7,18 +7,14 @@
 //! [`crate::native::NativeRuntime`] is built from:
 //!
 //! * [`ShardMap`] — a DashMap-style hash map split into N independently
-//!   locked shards, so concurrent `deliver()`s on different tasks touch
-//!   different locks;
-//! * [`ShardedTracker`] — the symbolic dependency tracker re-expressed
-//!   over a [`ShardMap`] plus atomic live/discovered/completed counters,
-//!   replacing the globally locked [`crate::tracker::Tracker`] on the
-//!   native completion path;
+//!   locked shards. The engine's frontier (task -> missing-input count
+//!   and delivered inputs) is one `ShardMap`, so concurrent deliveries to
+//!   different tasks touch different locks;
 //! * [`IdleGate`] — an eventcount-style parking protocol replacing the
 //!   single condvar, so a task push is one atomic bump (plus a wakeup only
 //!   when somebody actually sleeps) instead of a thundering broadcast.
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use ptg::{TaskGraph, TaskKey};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -129,106 +125,6 @@ impl<K: Hash + Eq, V> ShardMap<K, V> {
     }
 }
 
-/// Dependence tracking for the in-flight frontier, sharded.
-///
-/// Semantics are identical to [`crate::tracker::Tracker`] (discovered
-/// tasks map to their remaining-input count; nothing else is ever
-/// materialized), but `deliver()` on the completion path locks only the
-/// shard owning the destination task, and quiescence is a single atomic
-/// counter — no global lock anywhere.
-pub struct ShardedTracker {
-    missing: ShardMap<TaskKey, usize>,
-    live: AtomicU64,
-    discovered: AtomicU64,
-    completed: AtomicU64,
-}
-
-impl ShardedTracker {
-    /// Fresh tracker with `shards` lock shards.
-    pub fn new(shards: usize) -> Self {
-        Self {
-            missing: ShardMap::new(shards),
-            live: AtomicU64::new(0),
-            discovered: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-        }
-    }
-
-    /// Register a root task (zero task inputs). Returns the key, ready.
-    pub fn add_root(&self, key: TaskKey) -> TaskKey {
-        self.live.fetch_add(1, Ordering::SeqCst);
-        self.discovered.fetch_add(1, Ordering::Relaxed);
-        key
-    }
-
-    /// Deliver one input to `dst`. Returns `Some(dst)` when this delivery
-    /// makes it ready. First delivery discovers the task and asks its
-    /// class for the symbolic input count (under the shard lock, so
-    /// concurrent senders agree on who discovered it).
-    pub fn deliver(&self, graph: &TaskGraph, dst: TaskKey) -> Option<TaskKey> {
-        let mut shard = self.missing.lock_shard(&dst);
-        match shard.entry(dst) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let m = e.get_mut();
-                debug_assert!(*m > 0, "over-delivery to {}", graph.display(dst));
-                *m -= 1;
-                if *m == 0 {
-                    e.remove();
-                    Some(dst)
-                } else {
-                    None
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                self.live.fetch_add(1, Ordering::SeqCst);
-                self.discovered.fetch_add(1, Ordering::Relaxed);
-                let n = graph.class_of(dst).num_inputs(dst, graph.ctx());
-                debug_assert!(
-                    n > 0,
-                    "task {} received an input but declares none",
-                    graph.display(dst)
-                );
-                if n == 1 {
-                    Some(dst)
-                } else {
-                    v.insert(n - 1);
-                    None
-                }
-            }
-        }
-    }
-
-    /// Mark a task completed. Returns true when this completion reached
-    /// quiescence (the caller should initiate shutdown exactly once —
-    /// only one completion can observe the drop to zero).
-    pub fn complete(&self, _key: TaskKey) -> bool {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        let prev = self.live.fetch_sub(1, Ordering::SeqCst);
-        debug_assert!(prev > 0, "completion without a live task");
-        prev == 1
-    }
-
-    /// No live tasks remain.
-    pub fn is_quiescent(&self) -> bool {
-        self.live.load(Ordering::SeqCst) == 0
-    }
-
-    /// Tasks discovered so far.
-    pub fn discovered(&self) -> u64 {
-        self.discovered.load(Ordering::Relaxed)
-    }
-
-    /// Tasks completed so far.
-    pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
-    }
-
-    /// Tasks that were discovered but still wait for inputs.
-    pub fn starved(&self) -> usize {
-        self.missing.len()
-    }
-}
-
 /// Eventcount-style idle gate: producers bump an epoch on every push and
 /// wake a sleeper only if one exists; consumers snapshot the epoch,
 /// re-check their queues, and park only if no push intervened. This is
@@ -277,6 +173,12 @@ impl IdleGate {
         }
     }
 
+    /// True when no producer advanced the epoch since `ticket` was
+    /// taken: nothing was announced in between.
+    pub fn unchanged_since(&self, ticket: u64) -> bool {
+        self.epoch.load(Ordering::SeqCst) == ticket
+    }
+
     /// Wake every parked worker (shutdown).
     pub fn notify_all(&self) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
@@ -288,6 +190,7 @@ impl IdleGate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptg::TaskKey;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
@@ -312,57 +215,6 @@ mod tests {
         }
         let used = m.shards.iter().filter(|s| !s.lock().is_empty()).count();
         assert!(used >= 4, "only {used} of 8 shards used");
-    }
-
-    #[test]
-    fn concurrent_deliveries_count_exactly() {
-        // 8 threads hammer deliver() on a fan-in task with 800 inputs;
-        // exactly one thread must observe readiness.
-        use ptg::{Dep, GraphCtx, Payload, PlainCtx, TaskClass};
-
-        struct FanIn;
-        impl TaskClass for FanIn {
-            fn name(&self) -> &str {
-                "F"
-            }
-            fn num_flows(&self) -> usize {
-                1
-            }
-            fn roots(&self, _ctx: &dyn GraphCtx, _out: &mut Vec<TaskKey>) {}
-            fn num_inputs(&self, _key: TaskKey, _ctx: &dyn GraphCtx) -> usize {
-                800
-            }
-            fn successors(&self, _key: TaskKey, _ctx: &dyn GraphCtx, _out: &mut Vec<Dep>) {}
-            fn execute(
-                &self,
-                _key: TaskKey,
-                _ctx: &dyn GraphCtx,
-                _inputs: &mut [Option<Payload>],
-            ) -> Vec<Option<Payload>> {
-                vec![None]
-            }
-        }
-
-        let g = TaskGraph::new(vec![Arc::new(FanIn)], Arc::new(PlainCtx { nodes: 1 }));
-        let t = ShardedTracker::new(8);
-        let dst = TaskKey::new(0, &[0]);
-        let ready = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for _ in 0..100 {
-                        if t.deliver(&g, dst).is_some() {
-                            ready.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(ready.load(Ordering::SeqCst), 1);
-        assert_eq!(t.discovered(), 1);
-        assert_eq!(t.starved(), 0);
-        assert!(t.complete(dst));
-        assert!(t.is_quiescent());
     }
 
     #[test]

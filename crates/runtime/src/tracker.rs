@@ -1,4 +1,4 @@
-//! Symbolic dependency tracking.
+//! Symbolic dependency tracking for the simulator.
 //!
 //! The defining property of the PTG execution model — emphasized by the
 //! paper against "Dynamic Task Discovery" runtimes — is that the DAG is
@@ -6,6 +6,11 @@
 //! have been *discovered* (received at least one input, or registered as
 //! roots) and not yet run: a map from task to its remaining input count.
 //! Everything else is recomputed symbolically from the task classes.
+//!
+//! [`crate::simengine::SimEngine`] drives it from its one event loop. The
+//! native engine keeps the same frontier, concurrently: a sharded map
+//! from task to its missing-input count *and* the inputs delivered so far
+//! (see [`crate::native`]), so delivering an edge is one lock.
 
 use ptg::{TaskGraph, TaskKey};
 use std::collections::HashMap;

@@ -1,8 +1,8 @@
 //! Concurrency stress: hammer the work-stealing dispatch path with more
 //! workers than cores, repeatedly, and demand bit-identical bookkeeping
-//! and 1e-12 numerics every time. Races in the sharded tracker, the
-//! payload store, or the idle gate show up here as lost tasks, duplicated
-//! tasks, wrong energies, or hangs.
+//! and 1e-12 numerics every time. Races in the sharded frontier map or
+//! the idle gate show up here as lost tasks, duplicated tasks, wrong
+//! energies, or hangs.
 
 use ccsd::{build_graph, verify, VariantCfg};
 use parsec_rt::{NativeRuntime, SchedPolicy};
@@ -17,7 +17,7 @@ const THREADS: usize = 8;
 
 /// Wide fan-in: `n` root leaves all feed one sink task through the same
 /// flow, so the sink's readiness is decided by `n` concurrent `deliver`s
-/// racing on one tracker shard entry.
+/// racing on one frontier shard entry.
 struct FanIn {
     n: i64,
     total: Arc<AtomicU64>,
